@@ -74,18 +74,3 @@ func benchAnalyzeWidth(b *testing.B, nThreads int) {
 func BenchmarkAnalyzeWidth8(b *testing.B)   { benchAnalyzeWidth(b, 8) }
 func BenchmarkAnalyzeWidth64(b *testing.B)  { benchAnalyzeWidth(b, 64) }
 func BenchmarkAnalyzeWidth256(b *testing.B) { benchAnalyzeWidth(b, 256) }
-
-// BenchmarkAnalyzeSharded measures the sharded offline scan against
-// the serial one on the same wide log.
-func benchAnalyzeSharded(b *testing.B, shards int) {
-	events := syntheticLog(64, 25)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Analyze(events, Options{Mode: ModeCombined, Shards: shards})
-	}
-	b.ReportMetric(float64(len(events)), "events")
-}
-
-func BenchmarkAnalyzeShards1(b *testing.B) { benchAnalyzeSharded(b, 1) }
-func BenchmarkAnalyzeShards4(b *testing.B) { benchAnalyzeSharded(b, 4) }

@@ -27,12 +27,8 @@
 package detect
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"sort"
-	"sync"
 
 	"home/internal/obs"
 	"home/internal/sim"
@@ -99,16 +95,6 @@ type Options struct {
 	// order, so explained reports are byte-stable across host
 	// schedules. Costs one clock copy per monitored access.
 	Explain bool
-
-	// Shards, when > 1, parallelizes the offline pair-checking phase:
-	// locations are partitioned by (rank, variable) and scanned by
-	// that many workers. The clock replay itself stays sequential (it
-	// is inherently ordered), but the O(history²) access-pair scans —
-	// the bulk of the work on access-heavy logs — are independent per
-	// location. Reports, witnesses and stats are identical to the
-	// serial analysis (internal/difftest proves it). Ignored by the
-	// online analyzer, which interleaves checking with arrival.
-	Shards int
 }
 
 // Default history/report bounds.
@@ -199,19 +185,18 @@ type threadState struct {
 
 // accessRec is a retained access with its analysis snapshots.
 type accessRec struct {
-	seq    uint64
-	gid    vclock.TID
-	rank   int
-	tid    int
-	time   int64
-	op     trace.Op
-	eslot  vclock.Slot // last-write epoch: accessor's slot ...
-	ev     uint64      // ... and component, pre-tick (FastTrack)
-	locks  map[string]struct{}
-	call   *trace.MPICall
-	pclock *vclock.Packed // O(1) clock snapshot (batch mode only)
-	ix     uint64         // per-lane event index (Explain only)
-	clock  vclock.VC      // full clock snapshot (Explain only)
+	seq   uint64
+	gid   vclock.TID
+	rank  int
+	tid   int
+	time  int64
+	op    trace.Op
+	eslot vclock.Slot // last-write epoch: accessor's slot ...
+	ev    uint64      // ... and component, pre-tick (FastTrack)
+	locks map[string]struct{}
+	call  *trace.MPICall
+	ix    uint64    // per-lane event index (Explain only)
+	clock vclock.VC // full clock snapshot (Explain only)
 }
 
 // analyzer carries the replay state.
@@ -219,23 +204,17 @@ type analyzer struct {
 	opts    Options
 	space   *vclock.Space
 	threads map[vclock.TID]*threadState
-	// batch defers access-pair checking to a post-replay phase (the
-	// offline Analyze path, where it can shard); the online path
-	// checks incrementally as accesses arrive.
-	batch bool
 	// fork snapshots and join accumulators per sync episode
 	forkClocks map[trace.SyncID]*vclock.Packed
 	joinAccs   map[trace.SyncID]*vclock.Packed
-	// barrier episodes: expected participant count (from pre-pass) and
-	// accumulated state
-	barrierExpect  map[trace.SyncID]int
-	barrierArrived map[trace.SyncID][]vclock.TID
-	barrierMerge   map[trace.SyncID]*vclock.Packed
+	// barrierMerge accumulates each barrier episode's arrivals;
+	// pending lists, per thread, the episodes it has arrived at but not
+	// yet absorbed (see absorb)
+	barrierMerge map[trace.SyncID]*vclock.Packed
+	pending      map[vclock.TID][]trace.SyncID
 	// lock vector clocks for release->acquire edges
 	lockClocks map[string]*vclock.Packed
-	// per-location access history (bounded incrementally online;
-	// batch mode retains every arrival and applies the bound during
-	// the scan phase)
+	// per-location access history, bounded by MaxHistoryPerLoc
 	history map[trace.Loc][]accessRec
 	races   map[trace.Loc][]Race
 	// per-lane event counters (Explain only): the next index each
@@ -255,7 +234,6 @@ type analyzer struct {
 //	detect.vc_joins           full-width vector-clock joins performed
 //	detect.epoch_hits         O(width) joins elided by O(1) epoch adoption
 //	detect.vc_width           vector-clock component high-water mark (gauge)
-//	detect.shards             pair-scan shards of the analysis (gauge)
 //	detect.lockset_size       lockset size per access (histogram)
 //	detect.lockset_candidates access pairs the lockset analysis flagged
 //	detect.hb_candidates      access pairs happens-before found concurrent
@@ -265,19 +243,20 @@ type analyzer struct {
 // operations — the detector's true vector-clock hot path, which is
 // why the hotspot profile reports both. epoch_hits counts the
 // synchronization edges (fork→begin adoption, an episode's first
-// end-contribution, barrier publication and completion) where the
-// packed clock's epoch fast path replaced a full join with an O(1)
-// slice share; every hit is a join the map-backed detector would have
-// performed. Both counts depend only on the trace's synchronization
-// structure, not on host scheduling, so they stay gate-worthy
-// deterministic metrics.
+// end-contribution, barrier publication and a thread's first absorbed
+// barrier merge) where the packed clock's epoch fast path replaced a
+// full join with an O(1) slice share; every hit is a join the
+// map-backed detector would have performed. vc_joins does not count
+// the folds of a barrier episode's later arrivals into its merge, nor
+// a thread's later pending-merge absorptions. Both counts depend only
+// on the trace's synchronization structure, not on host scheduling,
+// so they stay gate-worthy deterministic metrics.
 type analyzerStats struct {
 	events      *obs.Counter
 	vcCompares  *obs.Counter
 	vcJoins     *obs.Counter
 	epochHits   *obs.Counter
 	vcWidth     *obs.Gauge
-	shards      *obs.Gauge
 	locksetSize *obs.Histogram
 	lsCandid    *obs.Counter
 	hbCandid    *obs.Counter
@@ -291,7 +270,6 @@ func newAnalyzerStats(reg *obs.Registry) analyzerStats {
 		vcJoins:     reg.Counter("detect.vc_joins"),
 		epochHits:   reg.Counter("detect.epoch_hits"),
 		vcWidth:     reg.Gauge("detect.vc_width"),
-		shards:      reg.Gauge("detect.shards"),
 		locksetSize: reg.Histogram("detect.lockset_size"),
 		lsCandid:    reg.Counter("detect.lockset_candidates"),
 		hbCandid:    reg.Counter("detect.hb_candidates"),
@@ -299,22 +277,28 @@ func newAnalyzerStats(reg *obs.Registry) analyzerStats {
 	}
 }
 
-// newAnalyzer builds the shared replay state (opts already defaulted).
+// newAnalyzer builds the replay state, defaulting the history and
+// report bounds.
 func newAnalyzer(opts Options) *analyzer {
+	if opts.MaxHistoryPerLoc <= 0 {
+		opts.MaxHistoryPerLoc = DefaultMaxHistory
+	}
+	if opts.MaxRacesPerLoc <= 0 {
+		opts.MaxRacesPerLoc = DefaultMaxRaces
+	}
 	return &analyzer{
-		opts:           opts,
-		st:             newAnalyzerStats(opts.Stats),
-		space:          vclock.NewSpace(),
-		threads:        make(map[vclock.TID]*threadState),
-		forkClocks:     make(map[trace.SyncID]*vclock.Packed),
-		joinAccs:       make(map[trace.SyncID]*vclock.Packed),
-		barrierExpect:  make(map[trace.SyncID]int),
-		barrierArrived: make(map[trace.SyncID][]vclock.TID),
-		barrierMerge:   make(map[trace.SyncID]*vclock.Packed),
-		lockClocks:     make(map[string]*vclock.Packed),
-		history:        make(map[trace.Loc][]accessRec),
-		races:          make(map[trace.Loc][]Race),
-		laneIx:         make(map[vclock.TID]uint64),
+		opts:         opts,
+		st:           newAnalyzerStats(opts.Stats),
+		space:        vclock.NewSpace(),
+		threads:      make(map[vclock.TID]*threadState),
+		forkClocks:   make(map[trace.SyncID]*vclock.Packed),
+		joinAccs:     make(map[trace.SyncID]*vclock.Packed),
+		barrierMerge: make(map[trace.SyncID]*vclock.Packed),
+		pending:      make(map[vclock.TID][]trace.SyncID),
+		lockClocks:   make(map[string]*vclock.Packed),
+		history:      make(map[trace.Loc][]accessRec),
+		races:        make(map[trace.Loc][]Race),
+		laneIx:       make(map[vclock.TID]uint64),
 	}
 }
 
@@ -355,40 +339,15 @@ func accessEq(a, b Access) bool {
 	return a.Rank == b.Rank && a.TID == b.TID && a.Ix == b.Ix
 }
 
-// Analyze replays the event log and returns the race report. The
-// clock replay is sequential (the happens-before relation is built in
-// log order); the access-pair scans run on opts.Shards workers
-// partitioned by location, producing a report identical to the serial
-// scan.
+// Analyze replays a recorded event log, in log order and keeping each
+// event's logged Seq, through the same analyzer Online runs as events
+// arrive, and returns the race report. For the same log it produces
+// the same report and stats as feeding the events to an Online.
 func Analyze(events []trace.Event, opts Options) *Report {
-	if opts.MaxHistoryPerLoc <= 0 {
-		opts.MaxHistoryPerLoc = DefaultMaxHistory
-	}
-	if opts.MaxRacesPerLoc <= 0 {
-		opts.MaxRacesPerLoc = DefaultMaxRaces
-	}
-	if opts.Shards <= 0 {
-		opts.Shards = 1
-	}
 	a := newAnalyzer(opts)
-	a.batch = true
-	a.st.shards.Observe(int64(opts.Shards))
-
-	// Pre-pass: barrier participant counts per episode. Every
-	// participant emits exactly one OpBarrier per episode before any
-	// of them proceeds, so in log order all arrivals of an episode
-	// precede all post-barrier events of its participants.
-	for _, e := range events {
-		if e.Op == trace.OpBarrier {
-			a.barrierExpect[e.Sync]++
-		}
-	}
-
 	for _, e := range events {
 		a.step(e)
 	}
-	a.scanAll()
-
 	rep := a.report()
 	rep.EventsAnalyzed = len(events)
 	return rep
@@ -414,6 +373,9 @@ func (a *analyzer) step(e trace.Event) {
 	if a.opts.Explain {
 		ix = a.laneIx[gid]
 		a.laneIx[gid] = ix + 1
+	}
+	if e.Op != trace.OpBarrier {
+		a.absorb(gid, st)
 	}
 	switch e.Op {
 	case trace.OpFork:
@@ -443,7 +405,7 @@ func (a *analyzer) step(e trace.Event) {
 			a.join(st.clock, acc)
 		}
 	case trace.OpBarrier:
-		a.barrier(e.Sync, gid, st)
+		a.arrive(e.Sync, gid, st)
 	case trace.OpAcquire:
 		if !a.opts.IgnoreLocks {
 			if lc, ok := a.lockClocks[e.Lock.Name]; ok {
@@ -488,37 +450,49 @@ func (a *analyzer) adoptOrJoin(dst, src *vclock.Packed) {
 	a.join(dst, src)
 }
 
-// barrier accumulates one arrival; the last arrival merges every
-// participant's clock into all of them (everything before the barrier
-// happens-before everything after it). The first arrival's published
-// clock seeds the merge, and completion distributes the merge by
-// adoption: a participant's clock differs from its arrival snapshot
-// only by its own post-arrival tick, which the packed clock keeps
-// out-of-line, so sharing the merge slice is exactly the join result.
-func (a *analyzer) barrier(s trace.SyncID, gid vclock.TID, st *threadState) {
-	merge, ok := a.barrierMerge[s]
-	if !ok {
-		merge = st.clock.Publish()
-		a.barrierMerge[s] = merge
-		a.st.epochHits.Inc()
-		a.st.vcWidth.Observe(int64(merge.Components()))
+// arrive folds one barrier arrival into the episode's merge clock;
+// the first arrival's published clock seeds the merge. Barriers are
+// handled lazily, without knowing how many threads take part in an
+// episode: the thread absorbs the merge at its next non-barrier event.
+// That is sound because every participant emits its barrier event
+// before any of them emits a post-barrier event (the runtime emits the
+// arrival before blocking), so by the time a post-barrier event shows
+// up, the episode's merge contains every participant (everything
+// before the barrier happens-before everything after it).
+func (a *analyzer) arrive(s trace.SyncID, gid vclock.TID, st *threadState) {
+	if merge, ok := a.barrierMerge[s]; ok {
+		merge.Join(st.clock)
 	} else {
-		a.join(merge, st.clock)
+		a.barrierMerge[s] = st.clock.Publish()
+		a.st.epochHits.Inc()
 	}
-	a.barrierArrived[s] = append(a.barrierArrived[s], gid)
-	if len(a.barrierArrived[s]) >= a.barrierExpect[s] {
-		for _, g := range a.barrierArrived[s] {
-			a.adoptOrJoin(a.threads[g].clock, merge)
-		}
-		delete(a.barrierArrived, s)
-		delete(a.barrierMerge, s)
-	}
+	a.pending[gid] = append(a.pending[gid], s)
 }
 
-// access checks the new access against the location history and
-// records it. In batch mode it only records — the pair checks run in
-// the sharded scan phase against the access's O(1) clock snapshot —
-// while the online path checks incrementally against the live clock.
+// absorb merges the barrier episodes the thread has arrived at into
+// its clock before its next action. The first pending merge usually
+// adopts in O(1): since its arrival the thread has only ticked, and
+// the merge dominates its arrival clock, so sharing the merge slice is
+// exactly the join result. Later pending merges fold over an
+// already-adopted slice and take the full join.
+func (a *analyzer) absorb(gid vclock.TID, st *threadState) {
+	eps := a.pending[gid]
+	if len(eps) == 0 {
+		return
+	}
+	for i, s := range eps {
+		merge := a.barrierMerge[s]
+		if i == 0 && st.clock.Adopt(merge) {
+			a.st.epochHits.Inc()
+			continue
+		}
+		st.clock.Join(merge)
+	}
+	a.pending[gid] = eps[:0]
+}
+
+// access checks the new access against the location history, against
+// the thread's live clock, and records it.
 func (a *analyzer) access(e trace.Event, st *threadState, gid vclock.TID, ix uint64) {
 	rec := accessRec{
 		seq:   e.Seq,
@@ -537,43 +511,20 @@ func (a *analyzer) access(e trace.Event, st *threadState, gid vclock.TID, ix uin
 		rec.clock = st.clock.ToVC()
 	}
 	a.st.locksetSize.Observe(int64(len(rec.locks)))
-	if a.batch {
-		rec.pclock = st.clock.Snapshot()
-		a.history[e.Loc] = append(a.history[e.Loc], rec)
-		return
-	}
 	hist := a.history[e.Loc]
-	var tally pairTally
-	races := a.checkPairs(e.Loc, hist, &rec, st.clock, a.races[e.Loc], &tally)
-	if len(races) > 0 {
-		a.races[e.Loc] = races
-	}
-	tally.add(&a.st)
+	a.checkPairs(e.Loc, hist, &rec, st.clock)
 	if len(hist) < a.opts.MaxHistoryPerLoc {
 		a.history[e.Loc] = append(hist, rec)
 	}
 }
 
-// pairTally accumulates the pair-scan counters locally so the sharded
-// scan can fold them into the registry once per shard (counter
-// addition commutes, so totals are identical to serial counting).
-type pairTally struct {
-	vcCompares, lsCandid, hbCandid, confirmed int64
-}
-
-func (t *pairTally) add(st *analyzerStats) {
-	st.vcCompares.Add(t.vcCompares)
-	st.lsCandid.Add(t.lsCandid)
-	st.hbCandid.Add(t.hbCandid)
-	st.confirmed.Add(t.confirmed)
-}
-
 // checkPairs tests one access against the prior history of its
-// location, appending reported races (bounded by MaxRacesPerLoc) and
-// tallying the pair counters. clock is the accessor's clock at the
-// access — the live thread clock online, the access's snapshot in the
-// scan phase.
-func (a *analyzer) checkPairs(loc trace.Loc, hist []accessRec, rec *accessRec, clock *vclock.Packed, races []Race, tally *pairTally) []Race {
+// location, recording reported races (bounded by MaxRacesPerLoc) and
+// adding the pair counters to the stats once per access. clock is the
+// accessor's live clock at the access.
+func (a *analyzer) checkPairs(loc trace.Loc, hist []accessRec, rec *accessRec, clock *vclock.Packed) {
+	races := a.races[loc]
+	var vcCompares, lsCandid, hbCandid, confirmed int64
 	for i := range hist {
 		prev := &hist[i]
 		if prev.gid == rec.gid {
@@ -587,13 +538,13 @@ func (a *analyzer) checkPairs(loc trace.Loc, hist []accessRec, rec *accessRec, c
 		// current access iff its epoch has been observed by the
 		// current thread's clock (FastTrack's epoch test) — one O(1)
 		// slot read on the packed clock.
-		tally.vcCompares++
+		vcCompares++
 		hbRace := prev.ev > clock.AtSlot(prev.eslot)
 		if lsRace {
-			tally.lsCandid++
+			lsCandid++
 		}
 		if hbRace {
-			tally.hbCandid++
+			hbCandid++
 		}
 
 		reported := false
@@ -606,7 +557,7 @@ func (a *analyzer) checkPairs(loc trace.Loc, hist []accessRec, rec *accessRec, c
 			reported = hbRace
 		}
 		if reported {
-			tally.confirmed++
+			confirmed++
 		}
 		if reported && len(races) < a.opts.MaxRacesPerLoc {
 			first, second := prev.toAccess(), rec.toAccess()
@@ -626,91 +577,13 @@ func (a *analyzer) checkPairs(loc trace.Loc, hist []accessRec, rec *accessRec, c
 			})
 		}
 	}
-	return races
-}
-
-// scanAll runs the batch pair-checking phase: locations are
-// partitioned across opts.Shards workers and scanned independently.
-// Each location's scan replays the incremental semantics exactly —
-// the j-th arrival is checked against the first min(j,
-// MaxHistoryPerLoc) arrivals, in arrival order — so reports and
-// counters match the online analyzer's.
-func (a *analyzer) scanAll() {
-	locs := make([]trace.Loc, 0, len(a.history))
-	for l := range a.history {
-		locs = append(locs, l)
+	if len(races) > 0 {
+		a.races[loc] = races
 	}
-	sort.Slice(locs, func(i, j int) bool {
-		if locs[i].Rank != locs[j].Rank {
-			return locs[i].Rank < locs[j].Rank
-		}
-		return locs[i].Name < locs[j].Name
-	})
-	shards := a.opts.Shards
-	if shards > len(locs) {
-		shards = len(locs)
-	}
-	if shards <= 1 {
-		var tally pairTally
-		for _, l := range locs {
-			if races := a.scanLoc(l, &tally); len(races) > 0 {
-				a.races[l] = races
-			}
-		}
-		tally.add(&a.st)
-		return
-	}
-	var wg sync.WaitGroup
-	results := make([]map[trace.Loc][]Race, shards)
-	tallies := make([]pairTally, shards)
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			out := make(map[trace.Loc][]Race)
-			for _, l := range locs {
-				if locShard(l, shards) != s {
-					continue
-				}
-				out[l] = a.scanLoc(l, &tallies[s])
-			}
-			results[s] = out
-		}(s)
-	}
-	wg.Wait()
-	for s := 0; s < shards; s++ {
-		for l, races := range results[s] {
-			if len(races) > 0 {
-				a.races[l] = races
-			}
-		}
-		tallies[s].add(&a.st)
-	}
-}
-
-// scanLoc checks every access pair of one location.
-func (a *analyzer) scanLoc(loc trace.Loc, tally *pairTally) []Race {
-	arr := a.history[loc]
-	var races []Race
-	for j := 1; j < len(arr); j++ {
-		n := j
-		if n > a.opts.MaxHistoryPerLoc {
-			n = a.opts.MaxHistoryPerLoc
-		}
-		races = a.checkPairs(loc, arr[:n], &arr[j], arr[j].pclock, races, tally)
-	}
-	return races
-}
-
-// locShard assigns a location to a scan shard by its (rank, variable)
-// identity — stable across runs and shard counts' partitions of work.
-func locShard(l trace.Loc, shards int) int {
-	h := fnv.New32a()
-	io.WriteString(h, l.Name)
-	var rb [4]byte
-	binary.LittleEndian.PutUint32(rb[:], uint32(l.Rank))
-	h.Write(rb[:])
-	return int(h.Sum32() % uint32(shards))
+	a.st.vcCompares.Add(vcCompares)
+	a.st.lsCandid.Add(lsCandid)
+	a.st.hbCandid.Add(hbCandid)
+	a.st.confirmed.Add(confirmed)
 }
 
 func (r accessRec) toAccess() Access {

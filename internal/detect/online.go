@@ -4,46 +4,24 @@ import (
 	"sync"
 
 	"home/internal/trace"
-	"home/internal/vclock"
 )
 
 // Online is the on-the-fly variant of the analysis: it implements
 // trace.Sink, updating the lockset and vector-clock state as events
 // arrive instead of replaying a recorded log (the paper's HOME
 // monitors "on the fly"; the offline Analyze entry point exists for
-// the hometrace workflow).
-//
-// Online analysis cannot use Analyze's pre-pass to learn how many
-// threads participate in each barrier episode, so barriers are
-// handled lazily: arrivals accumulate into the episode's merge clock,
-// and a thread absorbs the merge when its *next* event arrives. That
-// is sound because every participant emits its barrier event before
-// any of them emits a post-barrier event (the runtime emits the
-// arrival before blocking), so by the time a post-barrier event shows
-// up, the episode's merge contains every participant.
+// the hometrace workflow and the baseline tool models). Both run the
+// same analyzer, so Analyze over a log Online numbered yields Online's
+// report and stats.
 type Online struct {
 	mu sync.Mutex
 	a  *analyzer
-	// pending maps a thread to the barrier episodes it has arrived at
-	// but not yet absorbed.
-	pending map[vclock.TID][]trace.SyncID
-	n       int
+	n  int
 }
 
 // NewOnline builds an on-the-fly analyzer.
 func NewOnline(opts Options) *Online {
-	if opts.MaxHistoryPerLoc <= 0 {
-		opts.MaxHistoryPerLoc = DefaultMaxHistory
-	}
-	if opts.MaxRacesPerLoc <= 0 {
-		opts.MaxRacesPerLoc = DefaultMaxRaces
-	}
-	o := &Online{
-		a:       newAnalyzer(opts),
-		pending: make(map[vclock.TID][]trace.SyncID),
-	}
-	o.a.st.shards.Observe(1) // online checking is inline, never sharded
-	return o
+	return &Online{a: newAnalyzer(opts)}
 }
 
 // Emit consumes one event (trace.Sink). Events are numbered in
@@ -54,47 +32,7 @@ func (o *Online) Emit(e trace.Event) {
 	defer o.mu.Unlock()
 	e.Seq = uint64(o.n)
 	o.n++
-	st, gid := o.a.thread(e.Rank, e.TID)
-
-	// Absorb completed barrier episodes before the thread's next
-	// action. The first pending merge usually adopts in O(1): since
-	// its arrival the thread has only ticked, and the merge dominates
-	// its arrival clock, so sharing the merge slice is exactly the
-	// join result. Later pending merges fold over an already-adopted
-	// slice and take the full join.
-	if eps := o.pending[gid]; len(eps) > 0 && e.Op != trace.OpBarrier {
-		for i, s := range eps {
-			if merge, ok := o.a.barrierMerge[s]; ok {
-				if i == 0 && st.clock.Adopt(merge) {
-					o.a.st.epochHits.Inc()
-					continue
-				}
-				st.clock.Join(merge)
-			}
-		}
-		o.pending[gid] = o.pending[gid][:0]
-	}
-
-	switch e.Op {
-	case trace.OpBarrier:
-		o.a.st.events.Inc()
-		if o.a.opts.Explain {
-			// Keep the lane index in lockstep with step()'s counting:
-			// barrier arrivals occupy a lane slot too.
-			o.a.laneIx[gid]++
-		}
-		merge, ok := o.a.barrierMerge[e.Sync]
-		if !ok {
-			o.a.barrierMerge[e.Sync] = st.clock.Publish()
-			o.a.st.epochHits.Inc()
-		} else {
-			merge.Join(st.clock)
-		}
-		o.pending[gid] = append(o.pending[gid], e.Sync)
-		st.clock.Tick()
-	default:
-		o.a.step(e)
-	}
+	o.a.step(e)
 }
 
 // Report returns the races found so far. It may be called repeatedly;

@@ -1,43 +1,59 @@
 package detect
 
 import (
+	"bytes"
+	"encoding/json"
 	"sync"
 	"testing"
 
+	"home/internal/obs"
 	"home/internal/trace"
 )
 
-// raceKeySet projects a report onto comparable (first, second) seq
-// pairs.
-func raceKeySet(rep *Report) map[[2]uint64]bool {
-	out := map[[2]uint64]bool{}
-	for _, r := range rep.Races {
-		out[[2]uint64{r.First.Seq, r.Second.Seq}] = true
+// analysisArtifacts projects one analysis onto comparable bytes: the
+// report JSON and the stats snapshot JSON.
+func analysisArtifacts(t *testing.T, rep *Report, reg *obs.Registry) (report, stats []byte) {
+	t.Helper()
+	report, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	stats, err = json.Marshal(reg.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return report, stats
 }
 
 // TestOnlineMatchesOfflineOnRandomTraces: feeding events one at a
-// time through the sink must find exactly the races the offline
-// replay finds.
+// time through the sink must produce exactly the report and stats the
+// offline replay of the same log produces.
 func TestOnlineMatchesOfflineOnRandomTraces(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		for _, withLocks := range []bool{false, true} {
 			events := randomTrace(seed, 4, 25, withLocks)
-			offline := Analyze(events, Options{Mode: ModeCombined, MaxRacesPerLoc: 1 << 20})
-			online := NewOnline(Options{Mode: ModeCombined, MaxRacesPerLoc: 1 << 20})
-			for _, e := range events {
-				online.Emit(e)
-			}
-			got := online.Report()
-			a, b := raceKeySet(offline), raceKeySet(got)
-			if len(a) != len(b) {
-				t.Fatalf("seed %d locks=%v: offline %d races, online %d",
-					seed, withLocks, len(a), len(b))
-			}
-			for k := range a {
-				if !b[k] {
-					t.Fatalf("seed %d locks=%v: race %v missing online", seed, withLocks, k)
+			for _, explain := range []bool{false, true} {
+				opts := Options{Mode: ModeCombined, MaxRacesPerLoc: 1 << 20, Explain: explain}
+
+				offReg := obs.NewRegistry()
+				opts.Stats = offReg
+				offRep, offStats := analysisArtifacts(t, Analyze(events, opts), offReg)
+
+				onReg := obs.NewRegistry()
+				opts.Stats = onReg
+				online := NewOnline(opts)
+				for _, e := range events {
+					online.Emit(e)
+				}
+				onRep, onStats := analysisArtifacts(t, online.Report(), onReg)
+
+				if !bytes.Equal(offRep, onRep) {
+					t.Fatalf("seed %d locks=%v explain=%v: reports differ:\noffline %s\n online %s",
+						seed, withLocks, explain, offRep, onRep)
+				}
+				if !bytes.Equal(offStats, onStats) {
+					t.Fatalf("seed %d locks=%v explain=%v: stats differ:\noffline %s\n online %s",
+						seed, withLocks, explain, offStats, onStats)
 				}
 			}
 		}

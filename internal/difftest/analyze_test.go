@@ -25,23 +25,20 @@ type artifacts struct {
 }
 
 // analyzeArtifacts runs the full offline explanation pipeline (the
-// hometrace timeline flow) at the given shard count.
-func analyzeArtifacts(t testing.TB, c cell, shards int) artifacts {
+// hometrace timeline flow).
+func analyzeArtifacts(t testing.TB, c cell) artifacts {
 	t.Helper()
 	reg := obs.NewRegistry()
-	rep := detect.Analyze(c.events, detect.Options{Explain: true, Shards: shards, Stats: reg})
+	rep := detect.Analyze(c.events, detect.Options{Explain: true, Stats: reg})
 	vs := spec.Match(c.events, rep)
 	ws := explain.Extract(c.events, rep, vs)
 	tl := trace.BuildTimeline(c.events)
 	explain.Overlay(tl, ws)
 	var tb bytes.Buffer
 	if err := tl.WriteJSON(&tb); err != nil {
-		t.Fatalf("%s shards=%d: timeline: %v", c.name, shards, err)
+		t.Fatalf("%s: timeline: %v", c.name, err)
 	}
 	snap := reg.Snapshot()
-	// The shard count itself is the one stat that differs by
-	// construction; everything else must be identical.
-	delete(snap.Gauges, "detect.shards")
 	return artifacts{
 		report:     mustJSON(t, rep),
 		violations: mustJSON(t, vs),
@@ -60,49 +57,32 @@ func mustJSON(t testing.TB, v any) []byte {
 	return data
 }
 
-// TestShardedAnalyzeMatchesSerial proves the sharded offline pair
-// scan is invisible: for every corpus cell and shard count, the
-// report, violations, witnesses, timeline export and stats are
-// byte-identical to the serial analysis, regardless of GOMAXPROCS.
-func TestShardedAnalyzeMatchesSerial(t *testing.T) {
+// TestAnalyzeIsRepeatable pins that the offline analysis is
+// deterministic: for every corpus cell, repeated runs in one process
+// produce byte-identical reports, violations, witnesses, timeline
+// exports and stats, regardless of GOMAXPROCS.
+func TestAnalyzeIsRepeatable(t *testing.T) {
 	cells := corpus(t)
-	serial := make([]artifacts, len(cells))
+	first := make([]artifacts, len(cells))
 	for i, c := range cells {
-		serial[i] = analyzeArtifacts(t, c, 1)
+		first[i] = analyzeArtifacts(t, c)
 	}
 	withGOMAXPROCS(t, func(t *testing.T) {
 		for i, c := range cells {
-			for _, shards := range []int{2, 4, 8} {
-				got := analyzeArtifacts(t, c, shards)
-				diff := func(what string, g, w []byte) {
-					if !bytes.Equal(g, w) {
-						t.Errorf("%s shards=%d: %s diverged from serial analysis:\n got %s\nwant %s",
-							c.name, shards, what, g, w)
-					}
+			got := analyzeArtifacts(t, c)
+			diff := func(what string, g, w []byte) {
+				if !bytes.Equal(g, w) {
+					t.Errorf("%s: %s not repeatable:\n got %s\nwant %s", c.name, what, g, w)
 				}
-				diff("report", got.report, serial[i].report)
-				diff("violations", got.violations, serial[i].violations)
-				diff("witnesses", got.witnesses, serial[i].witnesses)
-				diff("timeline", got.timeline, serial[i].timeline)
-				diff("stats", got.stats, serial[i].stats)
-				if t.Failed() {
-					return
-				}
+			}
+			diff("report", got.report, first[i].report)
+			diff("violations", got.violations, first[i].violations)
+			diff("witnesses", got.witnesses, first[i].witnesses)
+			diff("timeline", got.timeline, first[i].timeline)
+			diff("stats", got.stats, first[i].stats)
+			if t.Failed() {
+				return
 			}
 		}
 	})
-}
-
-// TestSerialAnalyzeIsRepeatable pins the premise the sharded
-// comparison rests on: the serial analysis itself is deterministic
-// over repeated runs in one process.
-func TestSerialAnalyzeIsRepeatable(t *testing.T) {
-	cells := corpus(t)
-	for _, c := range cells[:4] {
-		first := analyzeArtifacts(t, c, 1)
-		again := analyzeArtifacts(t, c, 1)
-		if !bytes.Equal(first.report, again.report) || !bytes.Equal(first.stats, again.stats) {
-			t.Fatalf("%s: serial analysis not repeatable", c.name)
-		}
-	}
 }

@@ -1,22 +1,24 @@
 // Package difftest is the differential-testing spine for the
 // checker's optimized fast paths. Every optimization in the hot
 // layers keeps a reference implementation, and this package proves
-// the two agree where it matters:
+// the two agree where it matters (and that the analysis they feed is
+// deterministic):
 //
 //   - vclock.Packed (dense slice + FastTrack-style own epoch,
 //     copy-on-write snapshots, O(1) adoption) against the map-backed
 //     vclock.VC reference, on randomized mirrored histories;
-//   - the sharded offline pair-scan in internal/detect against the
-//     serial analysis, byte-for-byte on reports, witnesses, timelines
-//     and stats, over the frozen chaos-soak corpus;
+//   - the offline analysis in internal/detect is repeatable:
+//     repeated runs are byte-for-byte identical on reports,
+//     witnesses, timelines and stats over the frozen chaos-soak
+//     corpus;
 //   - the v3 binary schedule container against the JSONL container,
 //     via lossless v2→v3→v2 transcode identity, plus salvage and
 //     typed-error behaviour on truncated or corrupt streams.
 //
 // The equivalence tests run under a GOMAXPROCS 1/2/4 matrix (CI runs
-// the package with -race), so scheduling of the sharded scan cannot
-// hide behind a single host configuration. The corpus is built once
-// per test binary: the chaos-soak recipe of docs/ROBUSTNESS.md (per
+// the package with -race), so their results cannot hide behind a
+// single host configuration. The corpus is built once per test
+// binary: the chaos-soak recipe of docs/ROBUSTNESS.md (per
 // fault kind one unperturbed baseline, eight legal-perturbation
 // plans, two crash-stop plans) plus the explorer acceptance cell,
 // each run retaining its event log and realized schedule.

@@ -146,7 +146,7 @@ func TestQueuedMessagesDiagnostic(t *testing.T) {
 		if err := p.Barrier(ctx, CommWorld); err != nil {
 			return err
 		}
-		if n := p.QueuedMessages(); n != 3 {
+		if n := p.queuedMessages(); n != 3 {
 			t.Errorf("queued = %d, want 3", n)
 		}
 		for i := 0; i < 3; i++ {
@@ -154,7 +154,7 @@ func TestQueuedMessagesDiagnostic(t *testing.T) {
 				return err
 			}
 		}
-		if n := p.QueuedMessages(); n != 0 {
+		if n := p.queuedMessages(); n != 0 {
 			t.Errorf("queued after drain = %d", n)
 		}
 		return nil

@@ -1014,9 +1014,9 @@ func (p *Proc) replayIprobe(ctx *sim.Ctx, qp uint64) (bool, Status, error) {
 	}
 }
 
-// QueuedMessages returns the number of unexpected messages currently
+// queuedMessages returns the number of unexpected messages currently
 // queued at this rank (diagnostic; used in tests).
-func (p *Proc) QueuedMessages() int {
+func (p *Proc) queuedMessages() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.queue)
