@@ -175,7 +175,7 @@ type Options struct {
 	// Threads is the default OpenMP team size (default 2, as in the
 	// paper's experiments).
 	Threads int
-	// Seed drives all deterministic randomness.
+	// Seed is passed to the simulated world, which draws no random numbers.
 	Seed int64
 
 	// Mode selects the dynamic analyses; the zero value is the

@@ -62,11 +62,13 @@ type Plan struct {
 	MaxRetries     int
 	RetryBackoffNs int64
 
-	// JitterProb is the per-send probability of a wall-clock pause of
-	// up to JitterWall (default 200µs) before the send executes. The
-	// pause perturbs the host schedule — which goroutine delivers
-	// first — creating unexpected-queue pressure without touching
-	// virtual time.
+	// JitterProb is the per-send probability of a pause before the
+	// send executes, which lets other threads deliver first, creating
+	// unexpected-queue pressure without touching virtual time. In a
+	// run whose threads take turns (sim.Activity.Serialize) the pause
+	// hands the turn to any waiting thread, the same way on every run;
+	// otherwise it is a wall-clock sleep of up to JitterWall (default
+	// 200µs) that perturbs the host schedule.
 	JitterProb float64
 	JitterWall time.Duration
 
@@ -78,10 +80,11 @@ type Plan struct {
 	CrashAfterCalls int64
 
 	// StallProb is the per-decision-point probability that a thread
-	// stalls: StallNs virtual ns (default 100µs) plus a StallWall
-	// wall-clock pause (default 2ms) during which the thread counts as
-	// transiently blocked, exercising the deadlock watchdog's grace
-	// logic.
+	// stalls: StallNs virtual ns (default 100µs) plus a pause. In a run
+	// whose threads take turns the pause hands the turn to any waiting
+	// thread; otherwise it is a StallWall wall-clock sleep (default
+	// 2ms) during which the thread counts as transiently blocked,
+	// exercising the deadlock watchdog's grace logic.
 	StallProb float64
 	StallNs   int64
 	StallWall time.Duration
@@ -303,7 +306,8 @@ type SendFault struct {
 	// call cost.
 	Retries   int
 	BackoffNs int64
-	// JitterWall is a wall-clock pause taken before the send.
+	// JitterWall is the pause taken before the send (see
+	// Plan.JitterProb).
 	JitterWall time.Duration
 }
 
@@ -311,8 +315,9 @@ type SendFault struct {
 type Stall struct {
 	// VirtualNs is charged to the thread's virtual clock.
 	VirtualNs int64
-	// Wall is the wall-clock pause, taken as a transient block so the
-	// deadlock watchdog can tell it from a genuine hang.
+	// Wall is the pause (see Plan.StallProb); as a sleep it is taken
+	// as a transient block so the deadlock watchdog can tell it from a
+	// genuine hang.
 	Wall time.Duration
 }
 

@@ -40,7 +40,7 @@ type Config struct {
 	Procs []int
 	// TableProcs is the rank count for the accuracy table (default 4).
 	TableProcs int
-	// Seed drives deterministic randomness.
+	// Seed seeds the explore experiment and is passed to every run.
 	Seed int64
 	// Threads is OpenMP threads per rank (paper default 2).
 	Threads int

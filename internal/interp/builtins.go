@@ -287,6 +287,11 @@ func (tc *threadCtx) tagColl(rec *trace.MPICall) {
 func (tc *threadCtx) callBuiltin(c *minic.Call) (Value, bool, error) {
 	if strings.HasPrefix(c.Name, "MPI_") {
 		tc.countCall(c.Name)
+		if c.Name == "MPI_Test" || c.Name == "MPI_Iprobe" {
+			// A polling loop waits for other threads: let those with
+			// earlier clocks run before each poll.
+			tc.in.world.Activity().Yield(false)
+		}
 		v, err := tc.callMPI(c)
 		return v, true, err
 	}

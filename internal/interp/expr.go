@@ -77,12 +77,11 @@ func (tc *threadCtx) evalExpr(e minic.Expr) (Value, error) {
 		return tc.evalAssign(v)
 
 	case *minic.IncDec:
-		one := &minic.NumberLit{Line: v.Line, Value: 1, IsInt: true}
 		op := minic.TPlusEq
 		if v.Op == minic.TMinusMinus {
 			op = minic.TMinusEq
 		}
-		return tc.evalAssign(&minic.Assign{Line: v.Line, Op: op, LHS: v.LHS, RHS: one})
+		return tc.evalAssign(&minic.Assign{Line: v.Line, Op: op, LHS: v.LHS, RHS: incDecStep})
 
 	case *minic.Call:
 		return tc.evalCall(v)
@@ -178,6 +177,9 @@ func applyBinary(v *minic.Binary, x, y Value) (Value, error) {
 	}
 	return Value{}, runtimeError(v.Line, "unsupported binary operator")
 }
+
+// incDecStep is the shared right-hand side of ++ and -- (x += 1, x -= 1).
+var incDecStep = &minic.NumberLit{Value: 1, IsInt: true}
 
 // evalAssign handles =, +=, -=, *=, /= on scalars and array elements.
 func (tc *threadCtx) evalAssign(v *minic.Assign) (Value, error) {

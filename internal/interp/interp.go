@@ -41,7 +41,7 @@ type Config struct {
 	// Threads seeds omp_set_num_threads before main (programs may
 	// override); default 2 matches the paper's experiments.
 	Threads int
-	// Seed drives deterministic randomness.
+	// Seed passes through to the MPI world, which draws no random numbers.
 	Seed int64
 	// Costs overrides the virtual-time cost model (zero value =
 	// sim.DefaultCostModel plus the tool's own terms).
@@ -221,6 +221,12 @@ func Run(prog *minic.Program, conf Config) *Result {
 		SchedSource:        conf.SchedSource,
 		WatchdogGraceNs:    conf.WatchdogGraceNs,
 	})
+	if !world.Chaos().Replaying() {
+		// Threads take turns, so the run is a function of the program
+		// and its chaos seed. A replay runs free: the recorded schedule
+		// pins its orders.
+		world.Activity().Serialize()
+	}
 	conf.Live.AttachActivity(world.Activity())
 	out := &output{}
 	var steps int64
@@ -232,7 +238,7 @@ func Run(prog *minic.Program, conf Config) *Result {
 			prog:    prog,
 			conf:    &conf,
 			proc:    p,
-			rt:      omp.NewRuntime(p.Rank(), world.Activity(), conf.Seed),
+			rt:      omp.NewRuntime(p.Rank(), world.Activity()),
 			world:   world,
 			globals: newEnv(nil),
 			out:     out,
@@ -279,7 +285,13 @@ type threadCtx struct {
 	env    *env
 	status mpi.Status // last MPI status (per thread, like thread-local storage)
 	ret    Value      // value carried by ctrlReturn
+	steps  int        // statements since the thread last yielded its turn
 }
+
+// yieldEvery is the number of statements after which a thread lets the
+// others take a turn, so a thread spinning on shared memory cannot
+// starve the thread it waits for.
+const yieldEvery = 4096
 
 // ctrl is statement-level control flow.
 type ctrl int
@@ -290,13 +302,6 @@ const (
 	ctrlContinue
 	ctrlReturn
 )
-
-// child builds a scope-nested context on the same thread.
-func (tc *threadCtx) child() *threadCtx {
-	cp := *tc
-	cp.env = newEnv(tc.env)
-	return &cp
-}
 
 // bumpStep enforces the global statement budget and charges the
 // per-statement virtual cost. On a crash-stopped rank it aborts the
@@ -331,6 +336,10 @@ func (tc *threadCtx) bumpStep() error {
 		}
 	}
 	tc.ctx.Advance(tc.in.conf.StmtCostNs)
+	if tc.steps++; tc.steps == yieldEvery {
+		tc.steps = 0
+		tc.in.world.Activity().Yield(true)
+	}
 	return nil
 }
 
@@ -342,27 +351,37 @@ func (tc *threadCtx) callFunction(fn *minic.FuncDecl, args []Value, line int) (V
 	if len(args) != len(fn.Params) {
 		return Value{}, runtimeError(line, "%s expects %d arguments, got %d", fn.Name, len(fn.Params), len(args))
 	}
-	fe := &threadCtx{in: tc.in, ctx: tc.ctx, member: tc.member, status: tc.status, env: newEnv(tc.in.globals)}
+	// The callee sees only globals and its parameters.
+	defer func(outer *env) { tc.env = outer }(tc.env)
+	tc.env = newEnv(tc.in.globals)
 	for i, p := range fn.Params {
-		v := args[i]
-		if p.IsArray {
-			if v.Arr == nil {
-				return Value{}, runtimeError(line, "argument %d of %s must be an array", i+1, fn.Name)
-			}
-			fe.env.declare(p.Name, true, true, v)
-			continue
+		if p.IsArray && args[i].Arr == nil {
+			return Value{}, runtimeError(line, "argument %d of %s must be an array", i+1, fn.Name)
 		}
-		fe.env.declare(p.Name, p.Type == minic.TypeDouble, false, v)
+		tc.env.declare(p.Name, p.IsArray || p.Type == minic.TypeDouble, p.IsArray, args[i])
 	}
-	c, err := fe.execStmt(fn.Body)
-	tc.status = fe.status
+	c, err := tc.execStmt(fn.Body)
 	if err != nil {
 		return Value{}, err
 	}
 	if c == ctrlReturn {
-		return fe.ret, nil
+		return tc.ret, nil
 	}
 	return intVal(0), nil
+}
+
+// execBlock runs a block, pushing its scope in place if it needs one.
+func (tc *threadCtx) execBlock(b *minic.Block) (ctrl, error) {
+	if b.Scoped {
+		defer func(outer *env) { tc.env = outer }(tc.env)
+		tc.env = newEnv(tc.env)
+	}
+	for _, s := range b.Stmts {
+		if c, err := tc.execStmt(s); err != nil || c != ctrlNone {
+			return c, err
+		}
+	}
+	return ctrlNone, nil
 }
 
 // execStmt executes one statement.
@@ -372,16 +391,7 @@ func (tc *threadCtx) execStmt(s minic.Stmt) (ctrl, error) {
 	}
 	switch v := s.(type) {
 	case *minic.Block:
-		bc := tc.child()
-		for _, inner := range v.Stmts {
-			c, err := bc.execStmt(inner)
-			tc.status = bc.status
-			tc.ret = bc.ret
-			if err != nil || c != ctrlNone {
-				return c, err
-			}
-		}
-		return ctrlNone, nil
+		return tc.execBlock(v)
 
 	case *minic.DeclStmt:
 		for _, d := range v.Decls {
@@ -488,17 +498,21 @@ func (tc *threadCtx) declare(ds *minic.DeclStmt, d minic.Declarator) error {
 	return nil
 }
 
-// execFor runs a sequential for loop.
+// execFor runs a sequential for loop, pushing its scope in place if it
+// needs one.
 func (tc *threadCtx) execFor(v *minic.ForStmt) (ctrl, error) {
-	lc := tc.child() // loop scope for the init declaration
+	if v.Scoped {
+		defer func(outer *env) { tc.env = outer }(tc.env)
+		tc.env = newEnv(tc.env)
+	}
 	if v.Init != nil {
-		if _, err := lc.execStmt(v.Init); err != nil {
+		if _, err := tc.execStmt(v.Init); err != nil {
 			return ctrlNone, err
 		}
 	}
 	for {
 		if v.Cond != nil {
-			cond, err := lc.evalExpr(v.Cond)
+			cond, err := tc.evalExpr(v.Cond)
 			if err != nil {
 				return ctrlNone, err
 			}
@@ -506,8 +520,7 @@ func (tc *threadCtx) execFor(v *minic.ForStmt) (ctrl, error) {
 				return ctrlNone, nil
 			}
 		}
-		c, err := lc.execStmt(v.Body)
-		tc.ret = lc.ret
+		c, err := tc.execStmt(v.Body)
 		if err != nil {
 			return ctrlNone, err
 		}
@@ -518,11 +531,11 @@ func (tc *threadCtx) execFor(v *minic.ForStmt) (ctrl, error) {
 			return ctrlReturn, nil
 		}
 		if v.Post != nil {
-			if _, err := lc.evalExpr(v.Post); err != nil {
+			if _, err := tc.evalExpr(v.Post); err != nil {
 				return ctrlNone, err
 			}
 		}
-		if err := lc.bumpStep(); err != nil {
+		if err := tc.bumpStep(); err != nil {
 			return ctrlNone, err
 		}
 	}

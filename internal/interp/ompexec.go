@@ -323,11 +323,12 @@ func (tc *threadCtx) execWorksharedFor(o *minic.OmpStmt, f *minic.ForStmt, m *om
 		chunk = int64(cv.Int())
 	}
 	// The loop variable is implicitly private.
-	body := tc.child()
-	ivar := body.env.declare(b.varName, false, false, Value{})
+	defer func(outer *env) { tc.env = outer }(tc.env)
+	tc.env = newEnv(tc.env)
+	ivar := tc.env.declare(b.varName, false, false, Value{})
 	return m.For(0, b.count, sched, chunk, func(k int64) error {
 		ivar.store(intVal(b.lo + float64(k)*b.step))
-		c, err := body.execStmt(f.Body)
+		c, err := tc.execStmt(f.Body)
 		if err != nil {
 			return err
 		}

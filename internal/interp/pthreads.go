@@ -110,11 +110,12 @@ func (tc *threadCtx) pthreadCreate(c *minic.Call) (Value, error) {
 
 	child := &threadCtx{
 		in:     tc.in,
-		ctx:    tc.ctx.Child(tid, tc.in.conf.Seed),
+		ctx:    tc.ctx.Child(tid),
 		member: nil, // pthread functions are outside any omp team
-		env:    newEnv(tc.in.globals),
+		env:    tc.in.globals,
 	}
 	go func() {
+		activity.Enter(child.ctx)
 		child.ctx.Emit(trace.Event{Op: trace.OpBegin, Sync: syncID})
 		_, err := child.callFunction(fn, args, c.Line)
 		child.ctx.Emit(trace.Event{Op: trace.OpEnd, Sync: syncID})

@@ -87,18 +87,16 @@ func (c *cell) store(v Value) {
 	c.v = v
 }
 
-// env is a lexical scope chain. Lookup is lock-free (the map is
-// fixed after scope construction within a thread; concurrent lookups
-// of outer scopes are read-only), while cell contents are mutex
-// guarded.
+// env is a lexical scope chain, pushed and popped in place by its
+// thread. Lookup is lock-free (other threads only read a thread's
+// scopes, while it waits at a join), while cell contents are mutex
+// guarded. The vars map is allocated on the first declaration.
 type env struct {
 	parent *env
 	vars   map[string]*cell
 }
 
-func newEnv(parent *env) *env {
-	return &env{parent: parent, vars: make(map[string]*cell)}
-}
+func newEnv(parent *env) *env { return &env{parent: parent} }
 
 // lookup finds a variable cell, walking outward.
 func (e *env) lookup(name string) *cell {
@@ -114,6 +112,9 @@ func (e *env) lookup(name string) *cell {
 func (e *env) declare(name string, isFloat, isArray bool, v Value) *cell {
 	c := &cell{isFloat: isFloat, isArray: isArray}
 	c.store(v)
+	if e.vars == nil {
+		e.vars = make(map[string]*cell)
+	}
 	e.vars[name] = c
 	return c
 }

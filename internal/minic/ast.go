@@ -172,6 +172,8 @@ type ForStmt struct {
 	Cond Expr
 	Post Expr
 	Body Stmt
+	// Scoped is set by the parser when Init or Body declares in place.
+	Scoped bool
 }
 
 // WhileStmt is while (cond) body.
@@ -195,6 +197,25 @@ type ContinueStmt struct{ Line int }
 type Block struct {
 	Line  int
 	Stmts []Stmt
+	// Scoped is set by the parser when a statement declares in place.
+	Scoped bool
+}
+
+// declaresInPlace reports whether executing s can declare into the
+// enclosing scope: s is a declaration, or reaches one through a body
+// that opens no scope (if, while, single/master/critical).
+func declaresInPlace(s Stmt) bool {
+	switch s := s.(type) {
+	case *DeclStmt:
+		return true
+	case *IfStmt:
+		return declaresInPlace(s.Then) || s.Else != nil && declaresInPlace(s.Else)
+	case *WhileStmt:
+		return declaresInPlace(s.Body)
+	case *OmpStmt:
+		return (s.Kind == PragmaSingle || s.Kind == PragmaMaster || s.Kind == PragmaCritical) && declaresInPlace(s.Body)
+	}
+	return false
 }
 
 // PragmaKind enumerates supported OpenMP directives.

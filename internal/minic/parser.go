@@ -214,6 +214,7 @@ func (p *Parser) parseBlock() (*Block, error) {
 			return nil, err
 		}
 		b.Stmts = append(b.Stmts, s)
+		b.Scoped = b.Scoped || declaresInPlace(s)
 	}
 	p.next() // }
 	return b, nil
@@ -355,7 +356,8 @@ func (p *Parser) parseFor() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ForStmt{Line: t.Line, Init: init, Cond: cond, Post: post, Body: body}, nil
+	_, declInit := init.(*DeclStmt)
+	return &ForStmt{Line: t.Line, Init: init, Cond: cond, Post: post, Body: body, Scoped: declInit || declaresInPlace(body)}, nil
 }
 
 func (p *Parser) parseWhile() (Stmt, error) {
@@ -415,7 +417,7 @@ func (p *Parser) parsePragmaStmt() (Stmt, error) {
 			}
 			body, ok := sec.Body.(*Block)
 			if !ok {
-				body = &Block{Line: sec.Line, Stmts: []Stmt{sec.Body}}
+				body = &Block{Line: sec.Line, Stmts: []Stmt{sec.Body}, Scoped: declaresInPlace(sec.Body)}
 			}
 			o.Sections = append(o.Sections, body)
 			i++

@@ -442,3 +442,42 @@ int main() {
 		t.Fatalf("walked %d calls, want 6", n)
 	}
 }
+
+func TestParseMarksScopes(t *testing.T) {
+	cases := []struct {
+		stmt   string
+		scoped bool
+	}{
+		{"{ x = 1; }", false},
+		{"{ int y = 1; }", true},
+		{"{ { int y = 1; } }", false},
+		{"{ if (x) int y = 1; }", true},
+		{"{ if (x) { } else int y = 1; }", true},
+		{"{ while (x) int y = 1; }", true},
+		{"{\n#pragma omp critical\nint y = 1;\n}", true},
+		{"{\n#pragma omp parallel\nint y = 1;\n}", false},
+		{"{ for (int i = 0; i < 1; i++) { } }", false},
+		{"for (x = 0; x < 1; x++) { int y = 1; }", false},
+		{"for (x = 0; x < 1; x++) int y = 1;", true},
+		{"for (x = 0; x < 1; x++) if (x) int y = 1;", true},
+		{"for (int i = 0; i < 1; i++) { }", true},
+	}
+	for _, c := range cases {
+		prog := mustParse(t, "int main() { int x = 0; "+c.stmt+" return 0; }")
+		var got bool
+		switch s := prog.Func("main").Body.Stmts[1].(type) {
+		case *Block:
+			got = s.Scoped
+		case *ForStmt:
+			got = s.Scoped
+		default:
+			t.Fatalf("%q parsed as %T", c.stmt, s)
+		}
+		if got != c.scoped {
+			t.Errorf("%q: Scoped = %v, want %v", c.stmt, got, c.scoped)
+		}
+	}
+	if !mustParse(t, "int main() { int x; }").Func("main").Body.Scoped {
+		t.Error("function body with a declaration is not scoped")
+	}
+}

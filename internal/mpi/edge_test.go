@@ -122,7 +122,7 @@ func TestIsThreadMainTracksInitializer(t *testing.T) {
 		if !p.IsThreadMain(ctx) {
 			t.Error("initializer should be the main thread")
 		}
-		worker := ctx.Child(3, 1)
+		worker := ctx.Child(3)
 		if p.IsThreadMain(worker) {
 			t.Error("worker must not be the main thread")
 		}

@@ -133,7 +133,7 @@ type Config struct {
 	// Procs is the number of MPI ranks.
 	Procs int
 
-	// Seed drives all deterministic randomness.
+	// Seed identifies the run; the world draws no random numbers.
 	Seed int64
 
 	// Costs is the virtual-time cost model; zero value means
@@ -438,8 +438,9 @@ func (w *World) Run(body func(p *Proc, ctx *sim.Ctx) error) *RunResult {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			ctx := sim.NewCtx(rank, 0, w.cfg.Seed, &w.costs)
+			ctx := sim.NewCtx(rank, 0, &w.costs)
 			ctx.Keeper = w.keeper
+			w.activity.Enter(ctx)
 			p := w.procs[rank]
 			p.mainCtx = ctx
 			err := body(p, ctx)

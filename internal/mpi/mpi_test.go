@@ -474,7 +474,7 @@ func TestThreadLevelEnforcementDropsNonMainSend(t *testing.T) {
 		}
 		if p.Rank() == 0 {
 			// Simulate a second thread issuing the send under SINGLE.
-			tctx := ctx.Child(1, 99)
+			tctx := ctx.Child(1)
 			if err := p.Send(tctx, []float64{1}, 1, 0, CommWorld); err != nil {
 				return err
 			}
@@ -495,7 +495,7 @@ func TestThreadLevelMultipleAllowsWorkerCalls(t *testing.T) {
 		if _, err := p.InitThread(ctx, ThreadMultiple); err != nil {
 			return err
 		}
-		tctx := ctx.Child(1, 99)
+		tctx := ctx.Child(1)
 		if p.Rank() == 0 {
 			return p.Send(tctx, []float64{1}, 1, 0, CommWorld)
 		}
@@ -641,7 +641,7 @@ func TestStatusOnConcurrentCollectivesFromTwoThreads(t *testing.T) {
 		w.Activity().AddThreads(2)
 		for tid := 1; tid <= 2; tid++ {
 			go func(tid int) {
-				tctx := ctx.Child(tid, int64(tid))
+				tctx := ctx.Child(tid)
 				errCh <- p.Barrier(tctx, CommWorld)
 				w.Activity().DoneThread()
 			}(tid)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"home/internal/chaos"
 	"home/internal/sim"
@@ -508,11 +507,8 @@ func (p *Proc) Send(ctx *sim.Ctx, data []float64, dest, tag int, comm CommID) er
 	var fault chaos.SendFault
 	if p.world.chaos != nil {
 		fault = p.world.chaos.SendFault(p.rank, ctx.TID, ctx.NextChaosSeq())
-		if fault.JitterWall > 0 {
-			// Wall-clock pause only: perturbs which goroutine delivers
-			// first without touching virtual time.
-			time.Sleep(fault.JitterWall)
-		}
+		// Lets other threads deliver first without touching virtual time.
+		p.world.activity.Pause(fault.JitterWall)
 		if fault.Retries > 0 {
 			// Transient failures: each retry re-enters the library and
 			// backs off in virtual time; the send always succeeds in the

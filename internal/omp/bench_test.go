@@ -5,7 +5,7 @@ import (
 )
 
 func BenchmarkParallelForkJoin(b *testing.B) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := rt.Parallel(testCtx(), 4, func(m *Member) error { return nil }); err != nil {
@@ -15,7 +15,7 @@ func BenchmarkParallelForkJoin(b *testing.B) {
 }
 
 func BenchmarkBarrier(b *testing.B) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	b.ReportAllocs()
 	if err := rt.Parallel(testCtx(), 4, func(m *Member) error {
 		for i := 0; i < b.N; i++ {
@@ -30,7 +30,7 @@ func BenchmarkBarrier(b *testing.B) {
 }
 
 func BenchmarkCriticalSection(b *testing.B) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	b.ReportAllocs()
 	if err := rt.Parallel(testCtx(), 4, func(m *Member) error {
 		for i := 0; i < b.N; i++ {
@@ -45,7 +45,7 @@ func BenchmarkCriticalSection(b *testing.B) {
 }
 
 func BenchmarkForDynamic(b *testing.B) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := rt.Parallel(testCtx(), 4, func(m *Member) error {

@@ -19,9 +19,9 @@ import (
 func TestJoinWorkerExitWithMasterBlockedInBody(t *testing.T) {
 	activity := sim.NewActivity()
 	activity.AddThreads(1) // the main test thread below
-	rt := NewRuntime(0, activity, 1)
+	rt := NewRuntime(0, activity)
 	costs := sim.DefaultCostModel()
-	ctx := sim.NewCtx(0, 0, 1, &costs)
+	ctx := sim.NewCtx(0, 0, &costs)
 
 	err := rt.Parallel(ctx, 2, func(m *Member) error {
 		if m.TID != 0 {
@@ -52,9 +52,9 @@ func TestJoinWorkerExitWithMasterBlockedInBody(t *testing.T) {
 func TestJoinMasterWaitsOnStuckWorker(t *testing.T) {
 	activity := sim.NewActivity()
 	activity.AddThreads(1)
-	rt := NewRuntime(0, activity, 1)
+	rt := NewRuntime(0, activity)
 	costs := sim.DefaultCostModel()
-	ctx := sim.NewCtx(0, 0, 1, &costs)
+	ctx := sim.NewCtx(0, 0, &costs)
 
 	err := rt.Parallel(ctx, 2, func(m *Member) error {
 		if m.TID == 0 {
@@ -72,7 +72,7 @@ func TestJoinMasterWaitsOnStuckWorker(t *testing.T) {
 // And the healthy path at larger team sizes, exercising the join
 // rendezvous under contention.
 func TestJoinManyWorkersClean(t *testing.T) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	for round := 0; round < 50; round++ {
 		if err := rt.Parallel(testCtx(), 8, func(m *Member) error {
 			m.Ctx.Compute(int64(m.TID))

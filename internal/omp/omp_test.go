@@ -13,11 +13,11 @@ import (
 
 func testCtx() *sim.Ctx {
 	costs := sim.DefaultCostModel()
-	return sim.NewCtx(0, 0, 1, &costs)
+	return sim.NewCtx(0, 0, &costs)
 }
 
 func TestParallelForksRequestedThreads(t *testing.T) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	var mu sync.Mutex
 	seen := map[int]bool{}
 	err := rt.Parallel(testCtx(), 4, func(m *Member) error {
@@ -43,7 +43,7 @@ func TestParallelForksRequestedThreads(t *testing.T) {
 }
 
 func TestParallelDefaultsToSetNumThreads(t *testing.T) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	rt.SetNumThreads(3)
 	var n int32
 	if err := rt.Parallel(testCtx(), 0, func(m *Member) error {
@@ -58,7 +58,7 @@ func TestParallelDefaultsToSetNumThreads(t *testing.T) {
 }
 
 func TestNestedParallelSerializes(t *testing.T) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	var inner int32
 	err := rt.Parallel(testCtx(), 2, func(m *Member) error {
 		return rt.Parallel(m.Ctx, 4, func(im *Member) error {
@@ -78,7 +78,7 @@ func TestNestedParallelSerializes(t *testing.T) {
 }
 
 func TestParallelJoinSyncsClock(t *testing.T) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	ctx := testCtx()
 	err := rt.Parallel(ctx, 3, func(m *Member) error {
 		m.Ctx.Compute(int64(m.TID) * 1000) // tid 2 is slowest
@@ -94,7 +94,7 @@ func TestParallelJoinSyncsClock(t *testing.T) {
 }
 
 func TestParallelPropagatesError(t *testing.T) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	boom := errors.New("boom")
 	err := rt.Parallel(testCtx(), 2, func(m *Member) error {
 		if m.TID == 1 {
@@ -108,7 +108,7 @@ func TestParallelPropagatesError(t *testing.T) {
 }
 
 func TestBarrierSynchronizesMemberClocks(t *testing.T) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	var mu sync.Mutex
 	after := map[int]int64{}
 	err := rt.Parallel(testCtx(), 4, func(m *Member) error {
@@ -132,7 +132,7 @@ func TestBarrierSynchronizesMemberClocks(t *testing.T) {
 }
 
 func TestForStaticCoversRangeExactlyOnce(t *testing.T) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	const n = 103
 	var mu sync.Mutex
 	counts := make([]int, n)
@@ -165,7 +165,7 @@ func TestForStaticChunkAndDynamicAndGuidedCoverage(t *testing.T) {
 		{"guided", ScheduleGuided, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rt := NewRuntime(0, nil, 1)
+			rt := NewRuntime(0, nil)
 			const n = 57
 			var mu sync.Mutex
 			counts := make([]int, n)
@@ -193,7 +193,7 @@ func TestForStaticDeterministicAssignment(t *testing.T) {
 	// The default static schedule must give thread k a contiguous
 	// block, identical across runs.
 	run := func() map[int][]int64 {
-		rt := NewRuntime(0, nil, 1)
+		rt := NewRuntime(0, nil)
 		var mu sync.Mutex
 		got := map[int][]int64{}
 		if err := rt.Parallel(testCtx(), 3, func(m *Member) error {
@@ -231,7 +231,7 @@ func TestForStaticDeterministicAssignment(t *testing.T) {
 }
 
 func TestSectionsEachRunsOnce(t *testing.T) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	var a, b, c int32
 	err := rt.Parallel(testCtx(), 2, func(m *Member) error {
 		return m.Sections(
@@ -249,7 +249,7 @@ func TestSectionsEachRunsOnce(t *testing.T) {
 }
 
 func TestSingleRunsExactlyOnce(t *testing.T) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	var n int32
 	err := rt.Parallel(testCtx(), 4, func(m *Member) error {
 		for i := 0; i < 5; i++ {
@@ -268,7 +268,7 @@ func TestSingleRunsExactlyOnce(t *testing.T) {
 }
 
 func TestMasterRunsOnlyThreadZero(t *testing.T) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	var mu sync.Mutex
 	var tids []int
 	err := rt.Parallel(testCtx(), 4, func(m *Member) error {
@@ -288,7 +288,7 @@ func TestMasterRunsOnlyThreadZero(t *testing.T) {
 }
 
 func TestCriticalMutualExclusion(t *testing.T) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	var depth, maxDepth, total int32
 	err := rt.Parallel(testCtx(), 8, func(m *Member) error {
 		for i := 0; i < 50; i++ {
@@ -322,7 +322,7 @@ func TestNamedCriticalSectionsAreIndependent(t *testing.T) {
 	// verify they use distinct locks by checking virtual-time
 	// serialization applies per name: a thread in section "x" does not
 	// push the release time of section "y".
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	lx := rt.lock("$critical:x")
 	ly := rt.lock("$critical:y")
 	if lx == ly {
@@ -331,7 +331,7 @@ func TestNamedCriticalSectionsAreIndependent(t *testing.T) {
 }
 
 func TestLockUnlock(t *testing.T) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	var inCS int32
 	err := rt.Parallel(testCtx(), 4, func(m *Member) error {
 		for i := 0; i < 20; i++ {
@@ -352,7 +352,7 @@ func TestLockUnlock(t *testing.T) {
 }
 
 func TestCriticalSerializesVirtualTime(t *testing.T) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	var mu sync.Mutex
 	var spans [][2]int64
 	err := rt.Parallel(testCtx(), 4, func(m *Member) error {
@@ -377,7 +377,7 @@ func TestCriticalSerializesVirtualTime(t *testing.T) {
 }
 
 func TestInstrumentationEmitsForkJoinBarrierEvents(t *testing.T) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	log := trace.NewLog()
 	ctx := testCtx()
 	ctx.Sink = log
@@ -409,7 +409,7 @@ func TestInstrumentationEmitsForkJoinBarrierEvents(t *testing.T) {
 }
 
 func TestUninstrumentedEmitsNothing(t *testing.T) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	err := rt.Parallel(testCtx(), 2, func(m *Member) error {
 		return m.Barrier()
 	})
@@ -424,7 +424,7 @@ func TestUninstrumentedEmitsNothing(t *testing.T) {
 }
 
 func TestTeamOfOneConstructsWork(t *testing.T) {
-	rt := NewRuntime(0, nil, 1)
+	rt := NewRuntime(0, nil)
 	var n int
 	err := rt.Parallel(testCtx(), 1, func(m *Member) error {
 		if err := m.Barrier(); err != nil {

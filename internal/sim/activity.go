@@ -27,9 +27,9 @@ import (
 //
 // Two extensions serve the chaos layer:
 //
-//   - Transient blocks (StallPause): an injected stall parks its
-//     thread for a bounded wall-clock pause. It counts as blocked, but
-//     an all-blocked state that includes transient blocks is not an
+//   - Transient blocks (StallPause): outside Serialize, an injected
+//     stall parks its thread for a bounded wall-clock pause. It
+//     counts as blocked, but an all-blocked state that includes transient blocks is not an
 //     immediate deadlock — the stalled thread will wake on its own.
 //     Instead of tripping, the watchdog arms a wall-clock grace timer
 //     (SetGrace); if no progress happens within the grace, the state
@@ -63,6 +63,28 @@ type Activity struct {
 	// form the wait-for snapshot of the deadlock report.
 	stuck   map[int64]BlockedOp
 	nextTok int64
+
+	// Turn-taking (Serialize): holder is the one thread running, ready
+	// the threads waiting for their turn, and deferred a thread that
+	// gave up its turn for the others (Yield with defer set).
+	serial   bool
+	holder   *turn
+	ready    []*turn
+	deferred *turn
+}
+
+// turn is one thread's place in the serialized schedule.
+type turn struct {
+	ctx *Ctx
+	ch  chan struct{}
+}
+
+// before orders turns by virtual clock, then global identity.
+func (t *turn) before(u *turn) bool {
+	if t.ctx.Now != u.ctx.Now {
+		return t.ctx.Now < u.ctx.Now
+	}
+	return t.ctx.GID() < u.ctx.GID()
 }
 
 type rankLatch struct {
@@ -135,8 +157,111 @@ func (a *Activity) AddThreads(n int) {
 func (a *Activity) DoneThread() {
 	a.mu.Lock()
 	a.active--
+	a.holder = nil // under Serialize the finishing thread is the runner
 	a.checkLocked()
+	a.dispatchLocked()
 	a.mu.Unlock()
+}
+
+// Serialize makes the threads of the run take turns, so that a run's
+// outcome no longer depends on how the host schedules goroutines: one
+// thread runs at a time, and when it blocks, yields or finishes, the
+// waiting thread with the lowest virtual clock (then the lowest
+// global identity) runs next. Which thread receives a message, wins a
+// lock or claims a loop chunk is then a function of the program alone.
+// Every thread must call Enter when it starts. Call Serialize before
+// the first thread starts. A global deadlock or a rank abort ends
+// turn-taking for the rest of the run.
+func (a *Activity) Serialize() {
+	a.mu.Lock()
+	a.serial = true
+	a.mu.Unlock()
+}
+
+// Enter waits for a newly started thread's first turn; the thread must
+// already be counted by AddThreads. No-op unless serialized.
+func (a *Activity) Enter(ctx *Ctx) {
+	a.mu.Lock()
+	if !a.serial {
+		a.mu.Unlock()
+		return
+	}
+	a.waitTurnLocked(&turn{ctx: ctx, ch: make(chan struct{}, 1)})
+}
+
+// Yield ends the running thread's turn if a waiting thread should run
+// first: one with an earlier virtual clock, or, with deferToOthers,
+// any waiting thread (which keeps threads that spin on shared memory
+// from starving the thread they wait for). It reports whether the run
+// takes turns; it is a no-op if not.
+func (a *Activity) Yield(deferToOthers bool) bool {
+	a.mu.Lock()
+	h := a.holder
+	if h == nil {
+		a.mu.Unlock()
+		return false
+	}
+	a.holder = nil
+	if deferToOthers {
+		a.deferred = h
+	}
+	a.waitTurnLocked(h)
+	return true
+}
+
+// Pause is an injected wall-clock pause that lets other threads
+// overtake the caller (chaos send jitter). Under Serialize the caller
+// hands its turn to any waiting thread instead of sleeping, so the
+// threads are reordered the same way on every run.
+func (a *Activity) Pause(d time.Duration) {
+	if d > 0 && !a.Yield(true) {
+		time.Sleep(d)
+	}
+}
+
+// waitTurnLocked queues t, hands out the turn if it is free, and
+// blocks until t holds it. Called with a.mu held; returns with it
+// released.
+func (a *Activity) waitTurnLocked(t *turn) {
+	a.ready = append(a.ready, t)
+	a.dispatchLocked()
+	a.mu.Unlock()
+	<-t.ch
+}
+
+// dispatchLocked hands the free turn to the earliest waiting thread.
+// It waits until every runnable thread has queued: a thread just woken
+// (Unblock) or just started (AddThreads) that has not queued yet must
+// take part in the choice, or the choice would depend on host timing.
+func (a *Activity) dispatchLocked() {
+	if !a.serial || a.holder != nil || len(a.ready) == 0 || len(a.ready) < a.active-a.blocked {
+		return
+	}
+	next := -1
+	for i, t := range a.ready {
+		if t == a.deferred && len(a.ready) > 1 {
+			continue
+		}
+		if next < 0 || t.before(a.ready[next]) {
+			next = i
+		}
+	}
+	t := a.ready[next]
+	a.ready = append(a.ready[:next], a.ready[next+1:]...)
+	a.deferred = nil
+	a.holder = t
+	t.ch <- struct{}{}
+}
+
+// freeLocked ends turn-taking: every waiting thread runs on.
+func (a *Activity) freeLocked() {
+	a.serial = false
+	a.holder = nil
+	a.deferred = nil
+	for _, t := range a.ready {
+		t.ch <- struct{}{}
+	}
+	a.ready = nil
 }
 
 // Block marks the calling thread as blocked and returns the deadlock
@@ -161,28 +286,38 @@ func (a *Activity) BlockDesc(rank, tid int, desc string) (<-chan struct{}, func(
 // channel closes on global deadlock or, when op.Rank >= 0, when that
 // rank is aborted (crash-stop); woken sites use Deadlocked to
 // distinguish.
+//
+// Under Serialize, blocking ends the caller's turn, and the release
+// function waits for the next one.
 func (a *Activity) BlockOp(op BlockedOp) (<-chan struct{}, func()) {
 	a.mu.Lock()
 	a.blocked++
-	var release func()
+	tok := int64(-1)
 	if op.Detail != "" {
-		tok := a.nextTok
+		tok = a.nextTok
 		a.nextTok++
 		a.stuck[tok] = op
-		release = func() {
-			a.mu.Lock()
-			delete(a.stuck, tok)
-			a.mu.Unlock()
-		}
-	} else {
-		release = func() {}
 	}
 	a.checkLocked()
 	d := a.dead
 	if op.Rank >= 0 {
 		d = a.rankLatchLocked(op.Rank).ch
 	}
+	h := a.holder
+	a.holder = nil
+	a.dispatchLocked()
 	a.mu.Unlock()
+	release := func() {
+		a.mu.Lock()
+		if tok >= 0 {
+			delete(a.stuck, tok)
+		}
+		if a.serial && h != nil {
+			a.waitTurnLocked(h)
+			return
+		}
+		a.mu.Unlock()
+	}
 	return d, release
 }
 
@@ -207,6 +342,7 @@ func (a *Activity) rankLatchLocked(rank int) *rankLatch {
 // with its own cleanup. Used by the crash-stop fault.
 func (a *Activity) AbortRank(rank int) {
 	a.mu.Lock()
+	a.freeLocked()
 	a.aborted[rank] = true
 	rl := a.rankLatchLocked(rank)
 	if !rl.closed {
@@ -226,9 +362,11 @@ func (a *Activity) RankAborted(rank int) bool {
 // StallPause marks the calling thread transiently blocked for the
 // given wall-clock pause, then resumes it. The pause models an
 // injected thread stall: the watchdog counts the thread as blocked
-// but knows it will wake on its own.
+// but knows it will wake on its own. Under Serialize the stall is a
+// Pause: the thread hands its turn to the waiting threads and does not
+// sleep.
 func (a *Activity) StallPause(d time.Duration) {
-	if d <= 0 {
+	if d <= 0 || a.Yield(true) {
 		return
 	}
 	a.mu.Lock()
@@ -313,6 +451,7 @@ func (a *Activity) checkLocked() {
 }
 
 func (a *Activity) tripLocked() {
+	a.freeLocked()
 	a.tripped = true
 	close(a.dead)
 	for _, rl := range a.ranks {

@@ -233,7 +233,7 @@ func isRMA(k trace.CallKind) bool { return k.IsRMA() || k == trace.CallWinFence 
 // matchRace maps one concurrency report to the per-pair violation
 // predicates (ConcurrentRecv, ConcurrentRequest, Probe, Collective).
 func matchRace(r detect.Race, add func(Violation)) {
-	a, b := r.First, r.Second
+	a, b := orient(r)
 	if a.Call == nil || b.Call == nil || a.TID == b.TID {
 		return
 	}
@@ -291,6 +291,17 @@ func matchRace(r detect.Race, add func(Violation)) {
 	}
 }
 
+// orient returns a race's two accesses lower thread first. Which
+// access the analyzer saw first follows host arrival order, so
+// messages built from the pair in that order would not be stable
+// across runs of the same schedule.
+func orient(r detect.Race) (a, b detect.Access) {
+	if r.Second.TID < r.First.TID {
+		return r.Second, r.First
+	}
+	return r.First, r.Second
+}
+
 // matchRank evaluates the rank-level predicates (Initialization,
 // Finalization).
 func matchRank(rank int, ri *rankInfo, rep *detect.Report, add func(Violation)) {
@@ -344,16 +355,17 @@ func matchRank(rank int, ri *rankInfo, rep *detect.Report, add func(Violation)) 
 		// one-at-a-time requirement.
 		for _, name := range []string{trace.VarSrc, trace.VarTag, trace.VarComm, trace.VarRequest, trace.VarCollective} {
 			for _, race := range rep.RacesOn(rank, name) {
-				if race.First.Call == nil || race.Second.Call == nil || race.First.TID == race.Second.TID {
+				a, b := orient(race)
+				if a.Call == nil || b.Call == nil || a.TID == b.TID {
 					continue
 				}
 				rc := race
 				add(Violation{
 					Kind: InitializationViolation, Rank: rank,
-					Lines:   []int{race.First.Call.Line, race.Second.Call.Line},
-					Threads: []int{race.First.TID, race.Second.TID},
+					Lines:   []int{a.Call.Line, b.Call.Line},
+					Threads: []int{a.TID, b.TID},
 					Message: fmt.Sprintf("MPI_THREAD_SERIALIZED allows one MPI call at a time, but threads %d and %d call %s and %s concurrently",
-						race.First.TID, race.Second.TID, race.First.Call.Kind, race.Second.Call.Kind),
+						a.TID, b.TID, a.Call.Kind, b.Call.Kind),
 					Evidence: &Evidence{Race: &rc},
 				})
 				break // one representative per monitored variable
