@@ -158,16 +158,27 @@ func CheckCompiled(c *Compiled, opts Options) (*Report, error) {
 	costs.AnalysisNsPerEvent = homeAnalysisNs(opts.Procs, opts.Threads)
 	// Phase 3 runs on the fly: the online detector consumes the event
 	// stream as the program executes (the paper's HOME monitors during
-	// execution); the log keeps the raw records the specification
-	// matcher needs afterwards.
-	log := trace.NewLog()
+	// execution), and beside it the streaming specification matcher
+	// keeps the call records phase 4 reads. Only Explain retains the
+	// whole log: witnesses and the exported trace need every event,
+	// and then the log feeds the matcher afterwards so evidence sites
+	// and Report.Trace share one numbering.
 	online := detect.NewOnline(detect.Options{Mode: opts.Mode, Stats: opts.Stats, Explain: opts.Explain})
+	var log *trace.Log
+	var matcher *spec.Matcher
+	var sink trace.TeeSink
+	if opts.Explain {
+		log = trace.NewLog()
+		sink = trace.TeeSink{log, online}
+	} else {
+		matcher = spec.NewMatcher()
+		sink = trace.TeeSink{matcher, online}
+	}
 	chaosPlan, schedRec, schedSrc := resolveSched(&opts)
 	forced0, orderForced0 := replayForced(&opts)
 	// The flight recorder rides the TeeSink: the per-event Emit cost is
 	// charged whether or not a recorder is attached (Sink is always
 	// non-nil here), so attaching one never perturbs virtual time.
-	sink := trace.TeeSink{log, online}
 	if fr := lh.Flight(); fr != nil {
 		sink = append(sink, fr)
 	}
@@ -212,10 +223,14 @@ func CheckCompiled(c *Compiled, opts Options) (*Report, error) {
 	recordSchedStats(&opts, forced0, orderForced0)
 
 	// Phase 4: specification matching.
-	events := log.Events()
+	var events []trace.Event
 	lh.Phase("match")
 	sp = opts.Profile.Start("match")
-	violations := spec.Match(events, rep)
+	if opts.Explain {
+		events = log.Events()
+		matcher = spec.Replay(events)
+	}
+	violations := matcher.Violations(rep)
 	sp.End()
 
 	report := &Report{
@@ -237,7 +252,7 @@ func CheckCompiled(c *Compiled, opts Options) (*Report, error) {
 	}
 	// Every report carries per-rank coverage — uniform shape whether or
 	// not ranks died — so fleet aggregation never special-cases.
-	report.RankCoverage = rankCoverage(opts.Procs, events, run.DeadRanks)
+	report.RankCoverage = rankCoverage(opts.Procs, matcher, run.DeadRanks)
 	if len(run.DeadRanks) > 0 {
 		// Graceful degradation: a crash-stopped rank truncates its own
 		// event stream, but the analyses are prefix-closed, so the

@@ -2,11 +2,13 @@ package home
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"home/internal/faults"
+	"home/internal/npb"
 )
 
 // A hybrid program with real OpenMP and pthread concurrency, so the
@@ -200,4 +202,69 @@ func TestCompileHashAndErrors(t *testing.T) {
 	if err == nil || !errors.As(err, &pe) || !strings.HasPrefix(err.Error(), "parse: ") {
 		t.Fatalf("Compile of garbage must return *ParseError, got %v", err)
 	}
+}
+
+// TestCheckPathStreamsWithoutLog pins the non-Explain check path: it
+// retains no event log, yet its violations and per-rank coverage are
+// those of an Explain check of the same program, whose coverage counts
+// the events of the retained log.
+func TestCheckPathStreamsWithoutLog(t *testing.T) {
+	type input struct {
+		name string
+		src  string
+		opts Options
+	}
+	var ins []input
+	for _, kind := range faults.AllKinds() {
+		ins = append(ins, input{kind.String(), faults.Program(kind), Options{Procs: 4, Threads: 2}})
+	}
+	lu := npb.PaperInjections(npb.LU)
+	lu.Class = 'S'
+	ins = append(ins, input{"LU-MZ", npb.Generate(npb.LU, lu).Text, Options{Procs: 8, Threads: 2}})
+	for _, in := range ins {
+		c, err := Compile(in.src)
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		plain, err := CheckCompiled(c, in.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		eo := in.opts
+		eo.Explain = true
+		explained, err := CheckCompiled(c, eo)
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		if plain.Trace != nil {
+			t.Errorf("%s: non-Explain check retained %d trace events", in.name, len(plain.Trace))
+		}
+		if len(plain.Violations) == 0 {
+			t.Errorf("%s: no violations", in.name)
+		}
+		if got, want := violationStrings(plain.Violations), violationStrings(explained.Violations); got != want {
+			t.Errorf("%s: violations differ from Explain:\n got %s\nwant %s", in.name, got, want)
+		}
+		if got, want := fmt.Sprint(plain.RankCoverage), fmt.Sprint(explained.RankCoverage); got != want {
+			t.Errorf("%s: rank coverage %s, Explain %s", in.name, got, want)
+		}
+		perRank := make([]int, in.opts.Procs)
+		for _, e := range explained.Trace {
+			perRank[e.Rank]++
+		}
+		for r, cov := range explained.RankCoverage {
+			if cov.Events != perRank[r] {
+				t.Errorf("%s: rank %d coverage %d events, trace has %d", in.name, r, cov.Events, perRank[r])
+			}
+		}
+	}
+}
+
+func violationStrings(vs []Violation) string {
+	var b strings.Builder
+	for _, v := range vs {
+		b.WriteString(v.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
 }

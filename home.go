@@ -529,21 +529,16 @@ func recordSchedStats(opts *Options, forced0, orderForced0 int64) {
 	}
 }
 
-// rankCoverage tallies the observed instrumentation events per rank.
-func rankCoverage(procs int, events []trace.Event, dead []int) []RankCoverage {
+// rankCoverage reports the instrumentation events the matcher saw per
+// rank.
+func rankCoverage(procs int, m *spec.Matcher, dead []int) []RankCoverage {
 	failed := make(map[int]bool, len(dead))
 	for _, r := range dead {
 		failed[r] = true
 	}
-	counts := make([]int, procs)
-	for i := range events {
-		if r := events[i].Rank; r >= 0 && r < procs {
-			counts[r]++
-		}
-	}
 	out := make([]RankCoverage, procs)
 	for r := range out {
-		out[r] = RankCoverage{Rank: r, Events: counts[r], Failed: failed[r]}
+		out[r] = RankCoverage{Rank: r, Events: m.Events(r), Failed: failed[r]}
 	}
 	return out
 }

@@ -315,13 +315,21 @@ func (a *analyzer) report() *Report {
 		}
 		return locs[i].Name < locs[j].Name
 	})
+	n := 0
+	for _, races := range a.races {
+		n += len(races)
+	}
+	if n > 0 {
+		rep.Races = make([]Race, 0, n)
+	}
 	for _, l := range locs {
-		races := a.races[l]
+		start := len(rep.Races)
+		rep.Races = append(rep.Races, a.races[l]...)
 		if a.opts.Explain {
 			// Arrival order within a location is host-schedule
 			// dependent online; re-sort by the canonical pair
 			// coordinates so explained reports are stable.
-			races = append([]Race(nil), races...)
+			races := rep.Races[start:]
 			sort.Slice(races, func(i, j int) bool {
 				if !accessEq(races[i].First, races[j].First) {
 					return laneAfter(races[j].First, races[i].First)
@@ -329,7 +337,6 @@ func (a *analyzer) report() *Report {
 				return laneAfter(races[j].Second, races[i].Second)
 			})
 		}
-		rep.Races = append(rep.Races, races...)
 	}
 	return rep
 }
@@ -611,7 +618,12 @@ func laneAfter(a, b Access) bool {
 	return a.Ix > b.Ix
 }
 
+// copyLocks snapshots a lockset; an empty one is nil, which every
+// reader treats as empty.
 func copyLocks(m map[string]struct{}) map[string]struct{} {
+	if len(m) == 0 {
+		return nil
+	}
 	out := make(map[string]struct{}, len(m))
 	for k := range m {
 		out[k] = struct{}{}

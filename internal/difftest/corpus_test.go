@@ -31,11 +31,9 @@ var (
 	corpusErr   error
 )
 
-// corpus replays the chaos-soak recipe — per fault kind one
-// unperturbed baseline, eight legal-perturbation plans, two
-// crash-stop plans — plus the explorer acceptance cell, retaining
-// each run's event log and realized schedule. Built once per test
-// binary and shared read-only by every test.
+// corpus runs the corpus recipe (corpusRuns), retaining each run's
+// event log and realized schedule. Built once per test binary and
+// shared read-only by every test.
 func corpus(t testing.TB) []cell {
 	corpusOnce.Do(func() { corpusCells, corpusErr = buildCorpus() })
 	if corpusErr != nil {
@@ -44,44 +42,34 @@ func corpus(t testing.TB) []cell {
 	return corpusCells
 }
 
-func buildCorpus() ([]cell, error) {
-	var cells []cell
-	run := func(name string, prog *minic.Program, plan *chaos.Plan) error {
-		rec := sched.NewRecorder()
-		rep, err := home.CheckProgram(prog, home.Options{
-			Procs: 4, Threads: 2, Seed: 3,
-			Chaos:          plan,
-			RecordSchedule: rec,
-			Explain:        true,
-		})
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		cells = append(cells, cell{name: name, events: rep.Trace, sched: rec.Bytes()})
-		return nil
-	}
+// corpusRun is one (program, chaos plan) cell of the corpus recipe.
+type corpusRun struct {
+	name string
+	prog *minic.Program
+	plan *chaos.Plan
+}
+
+// corpusRuns lists the chaos-soak recipe — per fault kind one
+// unperturbed baseline, eight legal-perturbation plans, two
+// crash-stop plans — plus the explorer acceptance cell.
+func corpusRuns() ([]corpusRun, error) {
+	var runs []corpusRun
 	seeds := harness.DefaultChaosSeeds()
 	for _, kind := range faults.AllKinds() {
 		prog, err := minic.Parse(faults.Program(kind))
 		if err != nil {
 			return nil, fmt.Errorf("%v corpus program: %w", kind, err)
 		}
-		if err := run(fmt.Sprintf("%v/baseline", kind), prog, nil); err != nil {
-			return nil, err
-		}
+		runs = append(runs, corpusRun{fmt.Sprintf("%v/baseline", kind), prog, nil})
 		for _, seed := range seeds {
-			if err := run(fmt.Sprintf("%v/perturb-%d", kind, seed), prog, chaos.Perturb(seed)); err != nil {
-				return nil, err
-			}
+			runs = append(runs, corpusRun{fmt.Sprintf("%v/perturb-%d", kind, seed), prog, chaos.Perturb(seed)})
 		}
 		crashes := []*chaos.Plan{
 			chaos.Crash(seeds[0], 1, 1),
 			chaos.Crash(seeds[len(seeds)-1], 0, 1),
 		}
 		for i, plan := range crashes {
-			if err := run(fmt.Sprintf("%v/crash-%d", kind, i), prog, plan); err != nil {
-				return nil, err
-			}
+			runs = append(runs, corpusRun{fmt.Sprintf("%v/crash-%d", kind, i), prog, plan})
 		}
 	}
 	// The explorer acceptance cell (internal/explore's rediscovery
@@ -90,8 +78,27 @@ func buildCorpus() ([]cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := run("explorer/collective-crash", prog, chaos.Crash(3, 1, 1)); err != nil {
+	return append(runs, corpusRun{"explorer/collective-crash", prog, chaos.Crash(3, 1, 1)}), nil
+}
+
+func buildCorpus() ([]cell, error) {
+	runs, err := corpusRuns()
+	if err != nil {
 		return nil, err
+	}
+	cells := make([]cell, 0, len(runs))
+	for _, r := range runs {
+		rec := sched.NewRecorder()
+		rep, err := home.CheckProgram(r.prog, home.Options{
+			Procs: 4, Threads: 2, Seed: 3,
+			Chaos:          r.plan,
+			RecordSchedule: rec,
+			Explain:        true,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", r.name, err)
+		}
+		cells = append(cells, cell{name: r.name, events: rep.Trace, sched: rec.Bytes()})
 	}
 	return cells, nil
 }

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"fmt"
 	"testing"
 
 	"home/internal/detect"
@@ -221,5 +222,64 @@ func TestCountByKindAndDistinctKinds(t *testing.T) {
 	}
 	if DistinctKinds(vs) != 2 {
 		t.Fatalf("distinct = %d", DistinctKinds(vs))
+	}
+}
+
+// TestDuplicateRacesAllocateNothing pins that a race whose violation
+// is already matched costs no allocation: every predicate claims the
+// dedup key before it formats a message, builds evidence or copies the
+// race.
+func TestDuplicateRacesAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	r1 := &trace.MPICall{Kind: trace.CallRecv, Peer: 0, Tag: 5, Comm: 0, Line: 10}
+	r2 := &trace.MPICall{Kind: trace.CallRecv, Peer: 0, Tag: 5, Comm: 0, Line: 12}
+	s1 := &trace.MPICall{Kind: trace.CallSend, Peer: 1, Tag: 0, Comm: 0, Line: 15}
+	s2 := &trace.MPICall{Kind: trace.CallSend, Peer: 1, Tag: 1, Comm: 0, Line: 16}
+	fin := &trace.MPICall{Kind: trace.CallFinalize, Line: 50}
+	events := []trace.Event{
+		initEvent(0, 0, 0, mpi.ThreadSerialized),
+		initEvent(1, 1, 0, mpi.ThreadMultiple),
+	}
+	allocs := func(n int) float64 {
+		rep := &detect.Report{}
+		for i := 0; i < n; i++ {
+			rep.Races = append(rep.Races,
+				mkRace(0, trace.VarTag, 0, 1, s1, s2),
+				mkRace(0, trace.VarFinalize, 1, 0, s1, fin),
+				mkRace(1, trace.VarTag, 1, 0, r1, r2))
+		}
+		if vs := Match(events, rep); len(vs) != 3 {
+			t.Fatalf("violations = %v", vs)
+		}
+		return testing.AllocsPerRun(20, func() { Match(events, rep) })
+	}
+	const n = 100
+	if small, large := allocs(n), allocs(2*n); small != large {
+		t.Fatalf("allocations grow with duplicate races: %.0f with %d, %.0f with %d", small, 3*n, large, 6*n)
+	}
+}
+
+// TestLinesLessMatchesRendering pins the violation sort order: line
+// lists compare as their fmt.Sprint forms do, so reports list
+// violations in the same order whatever the number of digits.
+func TestLinesLessMatchesRendering(t *testing.T) {
+	vals := []int{0, 1, 2, 9, 10, 11, 12, 19, 20, 92, 99, 100, 101, 110, 111, 112, 120, 999, 1000, 1110}
+	var lists [][]int
+	for _, a := range vals {
+		lists = append(lists, []int{a})
+		for _, b := range vals {
+			if a <= b {
+				lists = append(lists, []int{a, b})
+			}
+		}
+	}
+	for _, a := range lists {
+		for _, b := range lists {
+			if got, want := linesLess(a, b), fmt.Sprint(a) < fmt.Sprint(b); got != want {
+				t.Fatalf("linesLess(%v, %v) = %v, want %v", a, b, got, want)
+			}
+		}
 	}
 }

@@ -305,18 +305,6 @@ func (l *Log) Len() int {
 	return len(l.events)
 }
 
-// Calls extracts the MPI call records in sequence order.
-func (l *Log) Calls() []Event {
-	all := l.Events()
-	out := all[:0:0]
-	for _, e := range all {
-		if e.Op == OpMPICall {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // CountSink counts events without retaining them; used by baseline
 // overhead models that charge per event but do not need the contents.
 type CountSink struct {
