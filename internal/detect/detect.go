@@ -155,28 +155,6 @@ type Report struct {
 	EventsAnalyzed int
 }
 
-// Concurrent reports whether any race was found on the named monitored
-// variable at the given rank — the paper's Concurrent(var) predicate.
-func (r *Report) Concurrent(rank int, name string) bool {
-	for _, rc := range r.Races {
-		if rc.Loc.Rank == rank && rc.Loc.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// RacesOn returns the races on one location.
-func (r *Report) RacesOn(rank int, name string) []Race {
-	var out []Race
-	for _, rc := range r.Races {
-		if rc.Loc.Rank == rank && rc.Loc.Name == name {
-			out = append(out, rc)
-		}
-	}
-	return out
-}
-
 // threadState is the replay state of one logical thread.
 type threadState struct {
 	clock *vclock.Packed

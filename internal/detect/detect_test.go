@@ -6,6 +6,24 @@ import (
 	"home/internal/trace"
 )
 
+// concurrent reports whether any race was found on the named
+// monitored variable at the given rank: the paper's Concurrent(var)
+// predicate.
+func (r *Report) concurrent(rank int, name string) bool {
+	return len(r.racesOn(rank, name)) > 0
+}
+
+// racesOn returns the races on one location.
+func (r *Report) racesOn(rank int, name string) []Race {
+	var out []Race
+	for _, rc := range r.Races {
+		if rc.Loc.Rank == rank && rc.Loc.Name == name {
+			out = append(out, rc)
+		}
+	}
+	return out
+}
+
 // eb is a tiny event-sequence builder for constructing interleavings.
 type eb struct {
 	events []trace.Event
@@ -61,7 +79,7 @@ func TestUnsynchronizedWritesRace(t *testing.T) {
 	b.write(0, 0, "x")
 	b.write(0, 1, "x")
 	rep := analyzeDefault(b)
-	if !rep.Concurrent(0, "x") {
+	if !rep.concurrent(0, "x") {
 		t.Fatalf("expected race on x; races: %v", rep.Races)
 	}
 	r := rep.Races[0]
@@ -78,7 +96,7 @@ func TestReadsAloneDoNotRace(t *testing.T) {
 	b.read(0, 0, "x")
 	b.read(0, 1, "x")
 	rep := analyzeDefault(b)
-	if rep.Concurrent(0, "x") {
+	if rep.concurrent(0, "x") {
 		t.Fatalf("read/read should not race: %v", rep.Races)
 	}
 }
@@ -91,7 +109,7 @@ func TestReadWriteConflictRaces(t *testing.T) {
 	b.read(0, 0, "x")
 	b.write(0, 1, "x")
 	rep := analyzeDefault(b)
-	if !rep.Concurrent(0, "x") {
+	if !rep.concurrent(0, "x") {
 		t.Fatal("read/write conflict should race")
 	}
 }
@@ -138,12 +156,12 @@ func TestCommonLockSuppressesRace(t *testing.T) {
 	b.acquire(0, 0, "L").write(0, 0, "x").release(0, 0, "L")
 	b.acquire(0, 1, "L").write(0, 1, "x").release(0, 1, "L")
 	rep := analyzeDefault(b)
-	if rep.Concurrent(0, "x") {
+	if rep.concurrent(0, "x") {
 		t.Fatalf("lock-protected accesses raced: %v", rep.Races)
 	}
 	// Lockset-only must also be clean.
 	ls := Analyze(b.events, Options{Mode: ModeLocksetOnly})
-	if ls.Concurrent(0, "x") {
+	if ls.concurrent(0, "x") {
 		t.Fatal("lockset analysis ignored the common lock")
 	}
 }
@@ -156,7 +174,7 @@ func TestDisjointLocksStillRace(t *testing.T) {
 	b.acquire(0, 0, "L1").write(0, 0, "x").release(0, 0, "L1")
 	b.acquire(0, 1, "L2").write(0, 1, "x").release(0, 1, "L2")
 	rep := analyzeDefault(b)
-	if !rep.Concurrent(0, "x") {
+	if !rep.concurrent(0, "x") {
 		t.Fatal("disjoint locks should not protect")
 	}
 }
@@ -172,7 +190,7 @@ func TestForkJoinOrdersParentAndChild(t *testing.T) {
 	b.op(0, 0, trace.OpJoin, s)
 	b.write(0, 0, "x") // parent write after join is ordered after child's
 	rep := analyzeDefault(b)
-	if rep.Concurrent(0, "x") {
+	if rep.concurrent(0, "x") {
 		t.Fatalf("fork/join-ordered accesses raced: %v", rep.Races)
 	}
 }
@@ -188,7 +206,7 @@ func TestBarrierOrdersAccesses(t *testing.T) {
 	b.op(0, 1, trace.OpBarrier, bar)
 	b.write(0, 1, "x") // after barrier, thread 1 — ordered
 	rep := analyzeDefault(b)
-	if rep.Concurrent(0, "x") {
+	if rep.concurrent(0, "x") {
 		t.Fatalf("barrier-separated accesses raced: %v", rep.Races)
 	}
 }
@@ -204,7 +222,7 @@ func TestBarrierDoesNotOrderSameSideAccesses(t *testing.T) {
 	b.op(0, 0, trace.OpBarrier, bar)
 	b.op(0, 1, trace.OpBarrier, bar)
 	rep := analyzeDefault(b)
-	if !rep.Concurrent(0, "x") {
+	if !rep.concurrent(0, "x") {
 		t.Fatal("pre-barrier concurrent writes should race")
 	}
 }
@@ -223,11 +241,11 @@ func TestLockReleaseAcquireCreatesHBEdge(t *testing.T) {
 	b.acquire(0, 1, "L").release(0, 1, "L")
 	b.write(0, 1, "x")
 	combined := analyzeDefault(b)
-	if combined.Concurrent(0, "x") {
+	if combined.concurrent(0, "x") {
 		t.Fatal("combined mode should respect the release->acquire edge")
 	}
 	ls := Analyze(b.events, Options{Mode: ModeLocksetOnly})
-	if !ls.Concurrent(0, "x") {
+	if !ls.concurrent(0, "x") {
 		t.Fatal("lockset-only mode should report (demonstrates the false positive HB suppresses)")
 	}
 }
@@ -243,11 +261,11 @@ func TestIgnoreLocksModelsNaiveTool(t *testing.T) {
 	b.acquire(0, 0, "$critical:c").write(0, 0, "x").release(0, 0, "$critical:c")
 	b.acquire(0, 1, "$critical:c").write(0, 1, "x").release(0, 1, "$critical:c")
 	aware := analyzeDefault(b)
-	if aware.Concurrent(0, "x") {
+	if aware.concurrent(0, "x") {
 		t.Fatal("lock-aware analysis should not report")
 	}
 	naive := Analyze(b.events, Options{Mode: ModeCombined, IgnoreLocks: true})
-	if !naive.Concurrent(0, "x") {
+	if !naive.concurrent(0, "x") {
 		t.Fatal("lock-ignorant analysis should report the false positive")
 	}
 }
@@ -264,7 +282,7 @@ func TestCallRecordAttachedToRace(t *testing.T) {
 	b.add(trace.Event{Rank: 0, TID: 1, Op: trace.OpWrite,
 		Loc: trace.Loc{Rank: 0, Name: trace.VarTag}, Call: call2})
 	rep := analyzeDefault(b)
-	races := rep.RacesOn(0, trace.VarTag)
+	races := rep.racesOn(0, trace.VarTag)
 	if len(races) != 1 {
 		t.Fatalf("races = %v", races)
 	}
@@ -304,7 +322,7 @@ func TestHappensBeforeOnlyMissesUnmanifestedScheduleRace(t *testing.T) {
 	b.acquire(0, 1, "L").release(0, 1, "L")
 	b.write(0, 1, "x")
 	hb := Analyze(b.events, Options{Mode: ModeHappensBeforeOnly})
-	if hb.Concurrent(0, "x") {
+	if hb.concurrent(0, "x") {
 		t.Fatal("HB-only should not report the schedule-ordered pair")
 	}
 }
@@ -331,10 +349,10 @@ func TestMultiRankAnalysisIndependent(t *testing.T) {
 	b.acquire(1, 0, "L").write(1, 0, trace.VarSrc).release(1, 0, "L")
 	b.acquire(1, 1, "L").write(1, 1, trace.VarSrc).release(1, 1, "L")
 	rep := analyzeDefault(b)
-	if !rep.Concurrent(0, trace.VarSrc) {
+	if !rep.concurrent(0, trace.VarSrc) {
 		t.Fatal("rank 0 race missed")
 	}
-	if rep.Concurrent(1, trace.VarSrc) {
+	if rep.concurrent(1, trace.VarSrc) {
 		t.Fatal("rank 1 false positive")
 	}
 }

@@ -76,7 +76,7 @@ func TestOnlineBarrierLazyMerge(t *testing.T) {
 	for _, e := range b.events {
 		on.Emit(e)
 	}
-	if rep := on.Report(); rep.Concurrent(0, "x") {
+	if rep := on.Report(); rep.concurrent(0, "x") {
 		t.Fatalf("barrier-separated accesses raced online: %v", rep.Races)
 	}
 }
@@ -100,7 +100,7 @@ func TestOnlineReportIsIncremental(t *testing.T) {
 	b2.write(0, 1, "x")
 	on.Emit(b2.events[0])
 	rep := on.Report()
-	if !rep.Concurrent(0, "x") {
+	if !rep.concurrent(0, "x") {
 		t.Fatal("race not reported after the second access")
 	}
 	if rep.EventsAnalyzed != 4 {

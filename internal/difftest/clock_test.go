@@ -79,7 +79,7 @@ func runClockHistory(t *testing.T, seed int64) {
 			if rng.Intn(2) == 0 {
 				a.pk.Join(b.pk)
 			} else {
-				a.pk.Join(b.pk.Snapshot())
+				a.pk.Join(b.pk.Publish())
 			}
 			check(a, "join")
 		case 6, 7: // adopt-or-join from a published clock

@@ -246,6 +246,8 @@ func Run(prog *minic.Program, conf Config) *Result {
 			maxStep: conf.MaxSteps,
 			chaosOn: conf.Chaos != nil || conf.SchedRecorder != nil || conf.SchedSource != nil,
 		}
+		// The rank's team goroutines end with the rank, inside World.Run.
+		defer in.rt.Close()
 		in.rt.SetNumThreads(conf.Threads)
 		in.rt.SetStats(conf.Stats)
 		in.rt.SetChaos(world.Chaos())

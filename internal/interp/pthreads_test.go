@@ -2,6 +2,7 @@ package interp
 
 import (
 	"testing"
+	"time"
 
 	"home/internal/static"
 	"home/internal/trace"
@@ -216,5 +217,37 @@ int main() {
 	}
 	if len(tids) != 2 {
 		t.Fatalf("recv records from %d threads, want 2", len(tids))
+	}
+}
+
+// TestUnjoinedThreadRegionDoesNotHoldRun pins that a rank's end does
+// not wait for a parallel region still open on a thread main never
+// joined: closing the rank's team must not block the run (which holds
+// the only turn) on workers that need turns to finish.
+func TestUnjoinedThreadRegionDoesNotHoldRun(t *testing.T) {
+	prog := parse(t, `
+void worker(int a) {
+  int s = 0;
+  #pragma omp parallel num_threads(2)
+  {
+    for (int i = 0; i < 200000; i++) { s = s + 1; }
+  }
+}
+int main() {
+  int t;
+  pthread_create(&t, worker, 1);
+  int k = 0;
+  while (k < 10000) k = k + 1;
+  return k;
+}`)
+	done := make(chan *Result, 1)
+	go func() { done <- Run(prog, Config{}) }()
+	select {
+	case res := <-done:
+		if res.ExitCodes[0] != 10000 {
+			t.Fatalf("exit code %d, want 10000", res.ExitCodes[0])
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the run waited for an unjoined thread's parallel region")
 	}
 }

@@ -173,3 +173,92 @@ int main() {
 		t.Fatalf("allocations grow with the iteration count: %.0f at %d iterations, %.0f at %d", small, n, large, 2*n)
 	}
 }
+
+// TestRedeclarationKeepsOneBinding pins that redeclaring a name in the
+// same scope replaces its binding: an unbraced loop body that declares
+// neither grows the enclosing scope nor allocates per iteration.
+func TestRedeclarationKeepsOneBinding(t *testing.T) {
+	e := newEnv(nil)
+	e.declare("y", false, false, intVal(7))
+	for i := 0; i < 100000; i++ {
+		e.declare("x", false, false, intVal(float64(i)))
+	}
+	if len(e.vars) != 2 {
+		t.Fatalf("scope holds %d bindings after 100000 redeclarations, want 2", len(e.vars))
+	}
+	if got := e.lookup("x").load().Int(); got != 99999 {
+		t.Fatalf("x = %d, want the last declaration's 99999", got)
+	}
+	if got := e.lookup("y").load().Int(); got != 7 {
+		t.Fatalf("y = %d, want 7", got)
+	}
+	// A redeclaration takes the new declared type.
+	e.declare("x", true, false, floatVal(2.5))
+	if v := e.lookup("x").load(); !v.IsFloat || v.Num != 2.5 {
+		t.Fatalf("x redeclared double = %v, want 2.5", v)
+	}
+
+	src := func(n int) string {
+		return `
+int main() {
+  int i = 0;
+  while (i < ` + strconv.Itoa(n) + `) int x = (i = i + 1);
+  return x;
+}`
+	}
+	if got := exitOf(t, src(100000)); got != 100000 {
+		t.Fatalf("x after the loop = %d, want 100000", got)
+	}
+	if raceEnabled {
+		return // allocation counts are not meaningful under -race
+	}
+	allocs := func(n int) float64 {
+		prog := parse(t, src(n))
+		return testing.AllocsPerRun(20, func() { Run(prog, Config{}) })
+	}
+	const n = 2000
+	small, large := allocs(n), allocs(2*n)
+	if large-small > 10 {
+		t.Fatalf("allocations grow with redeclarations: %.0f at %d iterations, %.0f at %d", small, n, large, 2*n)
+	}
+}
+
+// TestShadowingResolvesNewestFirst pins lookup order: the innermost
+// declaration wins across nested blocks, over private copies and over
+// reduction accumulators, and each outer binding is visible again once
+// its shadow's block ends.
+func TestShadowingResolvesNewestFirst(t *testing.T) {
+	got := exitOf(t, `
+int main() {
+  int a = 1;
+  int s = 0;
+  int p = 5;
+  int r = 0;
+  {
+    int a = 2;
+    {
+      int a = 3;
+      r = r * 10 + a;
+    }
+    r = r * 10 + a;
+  }
+  r = r * 10 + a;
+  #pragma omp parallel num_threads(2) private(p) reduction(+: s)
+  {
+    p = 40;
+    s = 1;
+    {
+      int p = 7;
+      int s = 100;
+      s = s + p;
+    }
+    s = s + p;
+  }
+  return r * 1000 + s * 10 + p % 10;
+}`)
+	// r = 321; each thread's accumulator ends at 41 (the inner s and p
+	// shadow and vanish), so s = 82; the outer p stays 5.
+	if want := 321*1000 + 82*10 + 5; got != want {
+		t.Fatalf("got %d, want %d", got, want)
+	}
+}

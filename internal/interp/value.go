@@ -88,12 +88,19 @@ func (c *cell) store(v Value) {
 }
 
 // env is a lexical scope chain, pushed and popped in place by its
-// thread. Lookup is lock-free (other threads only read a thread's
-// scopes, while it waits at a join), while cell contents are mutex
-// guarded. The vars map is allocated on the first declaration.
+// thread. Each scope is a short slice of bindings scanned newest-first,
+// so a lookup compares names and hashes nothing. Lookup is lock-free
+// (other threads only read a thread's scopes, while it waits at a
+// join), while cell contents are mutex guarded.
 type env struct {
 	parent *env
-	vars   map[string]*cell
+	vars   []binding
+}
+
+// binding names one variable's cell in a scope.
+type binding struct {
+	name string
+	c    *cell
 }
 
 func newEnv(parent *env) *env { return &env{parent: parent} }
@@ -101,21 +108,32 @@ func newEnv(parent *env) *env { return &env{parent: parent} }
 // lookup finds a variable cell, walking outward.
 func (e *env) lookup(name string) *cell {
 	for s := e; s != nil; s = s.parent {
-		if c, ok := s.vars[name]; ok {
-			return c
+		for i := len(s.vars) - 1; i >= 0; i-- {
+			if s.vars[i].name == name {
+				return s.vars[i].c
+			}
 		}
 	}
 	return nil
 }
 
 // declare creates a variable in this scope (shadowing outer scopes).
+// Redeclaring a name of this scope reuses its binding and its cell, as
+// a compiler reuses the variable's storage, so a loop whose unbraced
+// body declares neither grows the scope nor allocates.
 func (e *env) declare(name string, isFloat, isArray bool, v Value) *cell {
+	for _, b := range e.vars {
+		if b.name == name {
+			b.c.mu.Lock()
+			b.c.isFloat, b.c.isArray = isFloat, isArray
+			b.c.mu.Unlock()
+			b.c.store(v)
+			return b.c
+		}
+	}
 	c := &cell{isFloat: isFloat, isArray: isArray}
 	c.store(v)
-	if e.vars == nil {
-		e.vars = make(map[string]*cell)
-	}
-	e.vars[name] = c
+	e.vars = append(e.vars, binding{name, c})
 	return c
 }
 

@@ -2,9 +2,12 @@
 // simulated hybrid programs.
 //
 // A Runtime belongs to one simulated MPI process. Parallel forks a
-// team of threads (goroutines) that share the process's memory and its
-// mpi.Proc handle, exactly as OpenMP threads of a hybrid MPI/OpenMP
-// process do. Worksharing and synchronization constructs — for
+// team of threads that share the process's memory and its mpi.Proc
+// handle, exactly as OpenMP threads of a hybrid MPI/OpenMP process do.
+// As in real OpenMP runtimes, the team is hot: the goroutine behind
+// each worker thread id starts at the runtime's first fork that needs
+// it and serves every later region of the process, until Close ends
+// it. Worksharing and synchronization constructs — for
 // (static/dynamic/guided schedules), sections, single, master,
 // critical, barrier, and explicit locks — are provided as methods on
 // the team Member handle.
@@ -63,6 +66,60 @@ type Runtime struct {
 	locks      map[string]*lockState
 	depth      int32 // >0 while inside a parallel region (nested regions serialize)
 	syncSeq    uint64
+
+	// workers[i] hands region bodies to the hot goroutine of team
+	// thread id i+1; teamMu guards the slice.
+	teamMu  sync.Mutex
+	workers []worker
+}
+
+// worker is one hot team goroutine: it runs the jobs it receives until
+// jobs is closed, then closes exited.
+type worker struct {
+	jobs   chan func()
+	exited chan struct{}
+}
+
+func (w worker) serve() {
+	defer close(w.exited)
+	for job := range w.jobs {
+		job()
+	}
+}
+
+// hand runs job on the hot goroutine of team thread id tid (>= 1),
+// starting the missing goroutines up to tid. A worker still unwinding
+// an earlier region takes the job when it is done.
+func (rt *Runtime) hand(tid int, job func()) {
+	rt.teamMu.Lock()
+	defer rt.teamMu.Unlock()
+	for len(rt.workers) < tid {
+		w := worker{jobs: make(chan func()), exited: make(chan struct{})}
+		rt.workers = append(rt.workers, w)
+		go w.serve()
+	}
+	rt.workers[tid-1].jobs <- job
+}
+
+// Close ends the runtime's team goroutines; a later region starts a
+// new team. With no region open, Close waits until they have exited,
+// so a worker still unwinding a region the deadlock watchdog abandoned
+// finishes first. A region still open on another thread (one that
+// outlived the process's main thread) keeps its workers until it ends.
+func (rt *Runtime) Close() {
+	rt.teamMu.Lock()
+	ws := rt.workers
+	rt.workers = nil
+	for _, w := range ws {
+		close(w.jobs)
+	}
+	wait := atomic.LoadInt32(&rt.depth) == 0
+	rt.teamMu.Unlock()
+	if wait {
+		for _, w := range ws {
+			<-w.exited
+		}
+	}
 }
 
 // NewRuntime builds a runtime for the given rank, registering blocking
@@ -185,7 +242,9 @@ func (t *team) state(ordinal uint64) *constructState {
 
 // Parallel forks a team of n threads (n <= 0 means the runtime
 // default) executing body. Thread 0 is the calling thread; workers run
-// on fresh goroutines with child contexts. The region ends with an
+// on the runtime's hot team goroutines with fresh child contexts, and
+// each one enters, begins, ends and leaves the watchdog's thread count
+// exactly as a newly started thread would. The region ends with an
 // implicit join that synchronizes the parent clock to the slowest
 // member. Nested regions serialize to a team of one, matching the
 // OpenMP default.
@@ -232,7 +291,7 @@ func (rt *Runtime) Parallel(ctx *sim.Ctx, n int, body func(m *Member) error) err
 	rt.activity.AddThreads(n - 1)
 	for tid := 1; tid < n; tid++ {
 		tctx := ctx.Child(tid)
-		go func(tctx *sim.Ctx, tid int) {
+		rt.hand(tid, func() {
 			rt.activity.Enter(tctx)
 			tctx.Emit(trace.Event{Op: trace.OpBegin, Sync: forkSync})
 			m := &Member{Ctx: tctx, TID: tid, team: t}
@@ -248,7 +307,7 @@ func (rt *Runtime) Parallel(ctx *sim.Ctx, n int, body func(m *Member) error) err
 			}
 			js.mu.Unlock()
 			rt.activity.DoneThread()
-		}(tctx, tid)
+		})
 	}
 
 	// The master executes as team member 0 on the calling goroutine.

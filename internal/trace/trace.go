@@ -305,27 +305,6 @@ func (l *Log) Len() int {
 	return len(l.events)
 }
 
-// CountSink counts events without retaining them; used by baseline
-// overhead models that charge per event but do not need the contents.
-type CountSink struct {
-	mu sync.Mutex
-	n  uint64
-}
-
-// Emit increments the count.
-func (s *CountSink) Emit(Event) {
-	s.mu.Lock()
-	s.n++
-	s.mu.Unlock()
-}
-
-// Count returns the number of events observed.
-func (s *CountSink) Count() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
 // TeeSink duplicates events to multiple sinks.
 type TeeSink []Sink
 

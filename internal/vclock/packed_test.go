@@ -6,6 +6,14 @@ import (
 	"testing/quick"
 )
 
+// snapshot returns an O(1) frozen view of the clock sharing its slice,
+// with the own epoch left out-of-line: a valid comparison operand but
+// not a valid Adopt source (Publish bakes the epoch in).
+func (c *Packed) snapshot() *Packed {
+	c.frozen = true
+	return &Packed{sp: c.sp, base: c.base, frozen: true, own: c.own, ownV: c.ownV}
+}
+
 func TestPropJoinAssociative(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	f := func() bool {
@@ -99,7 +107,7 @@ func TestPackedSnapshotIsImmutable(t *testing.T) {
 	c := sp.Clock(1)
 	c.Tick()
 	c.Tick()
-	snap := c.Snapshot()
+	snap := c.snapshot()
 	want := snap.String()
 	c.Tick()
 	other := sp.Clock(2)
@@ -148,9 +156,9 @@ func TestPackedAdoptRefusesUnbakedEpoch(t *testing.T) {
 	sp := NewSpace()
 	a, b := sp.Clock(1), sp.Clock(2)
 	b.Tick()
-	// A raw Snapshot (epoch not baked into the slice) is not a valid
+	// A raw snapshot (epoch not baked into the slice) is not a valid
 	// adoption source: the foreign own component would be lost.
-	if a.Adopt(b.Snapshot()) {
+	if a.Adopt(b.snapshot()) {
 		t.Fatal("Adopt accepted an unbaked snapshot")
 	}
 	if !a.Adopt(b.Publish()) {
